@@ -34,16 +34,32 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .weyl import Affine, PowerSection, express_as_multiple, op_apply_section
+from .weyl import PowerSection, express_as_multiple
+# unused here, but perfbench/tests/test_harness.py checks that the benchmark's
+# patcher rewrites this binding too
+from .weyl import op_apply_section  # noqa: F401
 from . import pgl3 as P
 
-CASE_MOVES = {
-    "1": (-1, -1),
-    "2a": (-1, 0),
-    "2b": (0, -1),
-    "3a": (1, 0),
-    "3b": (0, 1),
-    "4": (1, 1),
+
+@dataclass(frozen=True)
+class Move:
+    """The (m1, m2) step, the Weyl twist of the descent (None: untwisted) and
+    the Casimir factors c - chi(nu + d), listed by their offsets d."""
+
+    step: tuple[int, int]
+    weyl: P.WeylElement | None
+    shifts: tuple[tuple[int, int], ...]
+
+
+MOVES = {
+    "1": Move((-1, -1), None, ()),
+    "2a": Move((-1, 0), P.W_S2, ((1, 1),)),
+    "2b": Move((0, -1), P.W_S1, ((1, 1),)),
+    "3a": Move((1, 0), P.W_S1S2,
+               ((1, 1), (2, -1), (-3, 3), (-1, 2), (0, 0))),
+    "3b": Move((0, 1), P.W_S2S1,
+               ((1, 1), (-1, 2), (3, -3), (2, -1), (0, 0))),
+    "4": Move((1, 1), P.W_LONG, ((1, 1), (2, -1), (0, 0))),
 }
 
 
@@ -145,18 +161,18 @@ def _sigma_at(lam: tuple[int, int], m1: int, m2: int) -> PowerSection:
         {"lam1": lam[0], "lam2": lam[1]})
 
 
-def _descent(lam: tuple[int, int], s: PowerSection) -> PowerSection:
-    f = _canonical_section_at(lam)
-    return op_apply_section(P.mixed_second_order_matrix(), s / f) * f
-
-
-def _twisted_descent(lam, s, w) -> PowerSection:
-    return P.twist_section(_descent(lam, P.twist_section(s, w.inverse())), w)
-
-
-def _casimir_shift(s: PowerSection, mu: tuple[int, int]) -> PowerSection:
-    chi = P.central_character(Affine(mu[0]), Affine(mu[1]))
-    return P.casimir_apply(s) + s.scale(-chi)
+def apply_move(case: str, s: PowerSection, f: PowerSection, nu) -> PowerSection:
+    """The case move applied to a section of weight nu (ints or Affine), with
+    f the trivialising section of the same weight parameters."""
+    move = MOVES[case]
+    if move.weyl is None:
+        out = P.apply_descent(s, f)
+    else:
+        out = P.apply_twisted_descent(s, move.weyl, f)
+    for d1, d2 in move.shifts:
+        chi = P.central_character(nu[0] + d1, nu[1] + d2)
+        out = P.casimir_apply(out) + out.scale(-chi)
+    return out
 
 
 class CaseUnavailable(ValueError):
@@ -171,40 +187,17 @@ def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str,
     algebraic identity even where the certificate-level preconditions
     (m >= 1 for lowering moves) fail; the scalar then comes out zero.
     """
-    m1, m2 = p.m1, p.m2
-    nu1, nu2 = p.nu1, p.nu2
-    dm1, dm2 = CASE_MOVES[case]
-    t1, t2 = m1 + dm1, m2 + dm2
+    if case not in MOVES:
+        raise ValueError(f"unknown case {case!r}")
+    dm1, dm2 = MOVES[case].step
+    t1, t2 = p.m1 + dm1, p.m2 + dm2
     if check_preconditions and (t1 < 0 or t2 < 0):
         raise CaseUnavailable(f"case {case} needs m >= 1 at {p.m}")
-    sig = _sigma_at(lam, m1, m2)
+    if case == "4" and (p.nu1, p.nu2) != (1, 1):
+        raise CaseUnavailable("case 4 moves only the nu = (1,1) point")
+    out = apply_move(case, _sigma_at(lam, p.m1, p.m2),
+                     _canonical_section_at(lam), (p.nu1, p.nu2))
     target = _sigma_at(lam, t1, t2)
-    if case == "1":
-        out = _descent(lam, sig)
-    elif case == "2b":
-        out = _twisted_descent(lam, sig, P.W_S1)
-        out = _casimir_shift(out, (nu1 + 1, nu2 + 1))
-    elif case == "2a":
-        out = _twisted_descent(lam, sig, P.W_S2)
-        out = _casimir_shift(out, (nu1 + 1, nu2 + 1))
-    elif case == "3a":
-        out = _twisted_descent(lam, sig, P.W_S1S2)
-        for mu in ((nu1 + 1, nu2 + 1), (nu1 + 2, nu2 - 1), (nu1 - 3, nu2 + 3),
-                   (nu1 - 1, nu2 + 2), (nu1, nu2)):
-            out = _casimir_shift(out, mu)
-    elif case == "3b":
-        out = _twisted_descent(lam, sig, P.W_S2S1)
-        for mu in ((nu1 + 1, nu2 + 1), (nu1 - 1, nu2 + 2), (nu1 + 3, nu2 - 3),
-                   (nu1 + 2, nu2 - 1), (nu1, nu2)):
-            out = _casimir_shift(out, mu)
-    elif case == "4":
-        if (nu1, nu2) != (1, 1):
-            raise CaseUnavailable("case 4 moves only the nu = (1,1) point")
-        out = _twisted_descent(lam, sig, P.W_LONG)
-        for mu in ((2, 2), (3, 0), (1, 1)):
-            out = _casimir_shift(out, mu)
-    else:
-        raise ValueError(f"unknown case {case!r}")
     return express_as_multiple(out, target).constant_value()
 
 
@@ -255,7 +248,7 @@ class _EdgeFactory:
         if key in self.cache:
             return self.cache[key]
         p = self.points[source]
-        dm1, dm2 = CASE_MOVES[case]
+        dm1, dm2 = MOVES[case].step
         target = (p.m1 + dm1, p.m2 + dm2)
         edge = None
         if target in self.points:
@@ -373,8 +366,11 @@ def validate_certificate(cert: Certificate) -> list[str]:
             problems.append(f"zero scalar on {e}")
         if e.source not in got or e.target not in got:
             problems.append(f"edge endpoint outside support: {e}")
-        move = CASE_MOVES[e.case]
-        if (e.source[0] + move[0], e.source[1] + move[1]) != e.target:
+        if e.case not in MOVES:
+            problems.append(f"unknown case label on {e}")
+            continue
+        dm1, dm2 = MOVES[e.case].step
+        if (e.source[0] + dm1, e.source[1] + dm2) != e.target:
             problems.append(f"edge target inconsistent with case: {e}")
     if cert.status == "irreducible":
         for pt, trip in cert.paths.items():

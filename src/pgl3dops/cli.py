@@ -128,6 +128,16 @@ def _cmd_op(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgl3dops",
@@ -139,11 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=["all"] + CK.suite_names())
     ver.add_argument("--param-mode", choices=("symbolic", "sampled"),
                      default="symbolic")
-    ver.add_argument("--grid", type=int, default=4,
+    ver.add_argument("--grid", type=_int_at_least(0), default=4,
                      help="sampling range for grid checks (default 4)")
-    ver.add_argument("--nilpotency-limit", type=int, default=12)
+    ver.add_argument("--nilpotency-limit", type=_int_at_least(1), default=12)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--jobs", type=int, default=1,
+    ver.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="worker processes for independent checks")
     ver.add_argument("--json", metavar="PATH", help="write the JSON report here")
     ver.set_defaults(fn=_cmd_verify)

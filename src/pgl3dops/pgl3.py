@@ -59,11 +59,6 @@ def _det3(m) -> Poly:
             - m[0][0] * m[1][2] * m[2][1] - m[0][1] * m[1][0] * m[2][2])
 
 
-def _matrix_of_vars(table: VarTable, names) -> list:
-    return [[RatFunc.from_poly(table.var(n)) if isinstance(n, str) else n
-             for n in row] for row in names]
-
-
 G_MAT = [[gvar(i + 1, j + 1) for j in range(3)] for i in range(3)]
 
 
@@ -198,8 +193,6 @@ W_S2 = WeylElement("s2", _fr([[1, 0, 0], [0, 0, 1], [0, -1, 0]]))
 W_S1S2 = WeylElement("s1s2", mat_mul(W_S1.matrix, W_S2.matrix))
 W_S2S1 = WeylElement("s2s1", mat_mul(W_S2.matrix, W_S1.matrix))
 W_LONG = WeylElement("w0", mat_mul(W_S1S2.matrix, W_S1.matrix))
-
-WEYL_ELEMENTS = {w.label: w for w in (W_E, W_S1, W_S2, W_S1S2, W_S2S1, W_LONG)}
 
 
 # -- infinitesimal action on the matrix chart ------------------------------------------
@@ -595,15 +588,6 @@ def central_character(mu1, mu2, table: VarTable = MATRIX_TABLE) -> RatFunc:
     p2 = _affine(mu2).as_ratfunc(table)
     return (p1 + p2).scale(Fraction(1, 3)) + \
         (p1 * p1 + p1 * p2 + p2 * p2).scale(Fraction(1, 9))
-
-
-def weight_star(mu: tuple) -> tuple:
-    """The star involution on dominant weights: (mu1, mu2) -> (mu2, mu1)."""
-    return (mu[1], mu[0])
-
-
-def weight_dominant(mu: tuple[int, int]) -> bool:
-    return mu[0] >= 0 and mu[1] >= 0
 
 
 def shift_weight(mu: tuple, steps: Mapping[str, int]) -> tuple:

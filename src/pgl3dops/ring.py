@@ -282,13 +282,6 @@ class Poly:
             return -1
         return max(sum(self.table.decode(k)[:ncoord]) for k in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        shift = self.table.shifts[self.table.index[name]]
-        mask = self.table.field_mask
-        if not self.terms:
-            return -1
-        return max((k >> shift) & mask for k in self.terms)
-
     def variables(self) -> set[str]:
         used: set[str] = set()
         names = self.table.names
@@ -352,24 +345,6 @@ class Poly:
                     term = term * power(i, e)
             total = total + term
         return total
-
-    def rename_table(self, target: VarTable, name_map: Mapping[str, str] | None = None) -> "Poly":
-        """Re-express over another table; coordinates map by ``name_map`` or name."""
-        out: dict = {}
-        src_names = self.table.names
-        for key, c in self.terms.items():
-            nkey = 0
-            for i, e in enumerate(self.table.decode(key)):
-                if e:
-                    name = src_names[i]
-                    name = name_map.get(name, name) if name_map else name
-                    nkey += e << target.shifts[target.index[name]]
-            s = out.get(nkey, 0) + c
-            if s == 0:
-                out.pop(nkey, None)
-            else:
-                out[nkey] = _num(s)
-        return Poly._raw(target, out)
 
     # -- content / division -----------------------------------------------------
 
@@ -676,32 +651,6 @@ def _normalise(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             c = -c
         return one.scale(Fraction(1, 1) / c), q.scale(Fraction(1, 1) / c)
     return num, den
-
-
-# -- arithmetic entry points matching the module contract ------------------------
-
-def poly_arith(op: str, p: Poly, q: Poly | None = None) -> Poly:
-    """Dispatch table for polynomial ring operations: add, mul, neg."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "neg":
-        return -p
-    raise ValueError(f"unknown op {op!r}")
-
-
-def rf_arith(op: str, f: RatFunc, g: RatFunc | None = None) -> RatFunc:
-    """Dispatch table for fraction-field operations: add, mul, div, neg."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    if op == "neg":
-        return -f
-    raise ValueError(f"unknown op {op!r}")
 
 
 # -- canonical text parsing -------------------------------------------------------

@@ -203,6 +203,22 @@ def _binom(K: MultiIndex, J: MultiIndex) -> int:
     return out
 
 
+def _derivatives(f, coords, d):
+    """The memoised map M -> d^M f, where ``d(g, name)`` differentiates once;
+    each M is reduced along its first positive component."""
+    memo: dict[MultiIndex, object] = {(0,) * len(coords): f}
+
+    def deriv(M: MultiIndex):
+        hit = memo.get(M)
+        if hit is None:
+            i = next(i for i, m in enumerate(M) if m)
+            hit = d(deriv(M[:i] + (M[i] - 1,) + M[i + 1:]), coords[i])
+            memo[M] = hit
+        return hit
+
+    return deriv
+
+
 def _iter_derivative(f: RatFunc, chart: Chart, M: MultiIndex) -> RatFunc:
     for name, k in zip(chart.coords, M):
         for _ in range(k):
@@ -222,21 +238,7 @@ def op_compose(A: DiffOp, B: DiffOp) -> DiffOp:
     out: dict[MultiIndex, RatFunc] = {}
     for L, b in B.terms.items():
         # derivatives of b needed across all A terms, memoised
-        derivs: dict[MultiIndex, RatFunc] = {chart.zero_index(): b}
-
-        def deriv(M: MultiIndex) -> RatFunc:
-            hit = derivs.get(M)
-            if hit is not None:
-                return hit
-            # reduce along the first positive component
-            for i, m in enumerate(M):
-                if m:
-                    prev = deriv(M[:i] + (m - 1,) + M[i + 1:])
-                    val = prev.differentiate(chart.coords[i])
-                    break
-            derivs[M] = val
-            return val
-
+        deriv = _derivatives(b, chart.coords, RatFunc.differentiate)
         for K, a in A.terms.items():
             for J in _sub_indices(K):
                 c = _binom(K, J)
@@ -853,20 +855,7 @@ def op_apply_section(A: DiffOp, s: PowerSection) -> PowerSection:
     """Apply an operator to a power section; stays in power-section form."""
     if A.chart.coords != s.chart.coords:
         raise ChartMismatch("operator and section on different charts")
-    derivs: dict[MultiIndex, PowerSection] = {A.chart.zero_index(): s}
-
-    def deriv(M: MultiIndex) -> PowerSection:
-        hit = derivs.get(M)
-        if hit is not None:
-            return hit
-        for i, m in enumerate(M):
-            if m:
-                prev = deriv(M[:i] + (m - 1,) + M[i + 1:])
-                val = prev.derivative(A.chart.coords[i])
-                break
-        derivs[M] = val
-        return val
-
+    deriv = _derivatives(s, A.chart.coords, PowerSection.derivative)
     total = PowerSection(s.chart, s.chart.table.zero(), s.factors)
     for K, c in A.terms.items():
         total = total + deriv(K).scale(c)
@@ -880,20 +869,7 @@ def conjugate(A: DiffOp, s: PowerSection) -> DiffOp:
     chart = A.chart
     if s.is_zero():
         raise ZeroDenominator("conjugation by the zero section")
-    derivs: dict[MultiIndex, PowerSection] = {chart.zero_index(): s}
-
-    def dsec(M: MultiIndex) -> PowerSection:
-        hit = derivs.get(M)
-        if hit is not None:
-            return hit
-        for i, m in enumerate(M):
-            if m:
-                prev = dsec(M[:i] + (m - 1,) + M[i + 1:])
-                val = prev.derivative(chart.coords[i])
-                break
-        derivs[M] = val
-        return val
-
+    dsec = _derivatives(s, chart.coords, PowerSection.derivative)
     out: dict[MultiIndex, RatFunc] = {}
     for K, c in A.terms.items():
         for J in _sub_indices(K):

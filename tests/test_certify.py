@@ -74,6 +74,14 @@ def test_case4_values():
         C.case_scalar((2, 2), C.SupportPoint(0, 0, 2, 2), "4")
 
 
+def test_unknown_case_label_raises():
+    p = C.SupportPoint(1, 1, 1, 1)
+    for check in (True, False):
+        with pytest.raises(ValueError, match="unknown case") as exc:
+            C.case_scalar((2, 2), p, "5", check_preconditions=check)
+        assert not isinstance(exc.value, C.CaseUnavailable)
+
+
 def test_closed_forms_match_engine_on_samples():
     for lam in ((2, 2), (3, 1)):
         for p in C.dominant_support(lam):
@@ -119,6 +127,14 @@ def test_checker_rejects_corruption():
     bad2 = C.Certificate(cert.lam, cert.support[1:], cert.edges,
                          cert.basepoint, cert.paths, cert.status)
     assert C.validate_certificate(bad2)
+    # an unknown case label is reported, not raised
+    bad3 = C.Certificate(cert.lam, cert.support,
+                         [C.CaseEdge(e.source, e.target, "zz", e.scalar,
+                                     e.closed_form) if i == 0 else e
+                          for i, e in enumerate(cert.edges)],
+                         cert.basepoint, cert.paths, cert.status)
+    problems = C.validate_certificate(bad3)
+    assert any("unknown case label" in p for p in problems)
     # zero scalar cannot even be constructed
     with pytest.raises(ValueError):
         C.CaseEdge((1, 0), (0, 0), "2a", Fraction(0), "x")

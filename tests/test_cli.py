@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from pgl3dops import checks as CK
 from pgl3dops import cli
+from pgl3dops import pgl3 as P
+from pgl3dops import reference as REF
+from pgl3dops.ring import RatFunc
 
 
 def run(argv, capsys):
@@ -72,6 +76,18 @@ def test_concordance(tmp_path, capsys):
     assert items["fields.matrix.left.Y3"]["status"] == "mismatch"
     assert items["cases.2b.scalar"]["status"] == "mismatch"
     assert "residual" in items["cases.2b.scalar"]
+    assert items["cases.2b.scalar"]["engine"] == REF.CASE2B_SCALAR_ENGINE
+
+
+def test_concordance_engine_column_is_the_computed_scalar(monkeypatch):
+    # a drifted 2b scalar must show in the engine column, not the recorded text
+    real = CK._sym_case_scalar
+    one = RatFunc.const(P.MATRIX_TABLE, 1)
+    monkeypatch.setattr(CK, "_sym_case_scalar",
+                        lambda case: real(case) + one if case == "2b" else real(case))
+    item = {i["id"]: i for i in CK.concordance_items()}["cases.2b.scalar"]
+    assert item["engine"] != REF.CASE2B_SCALAR_ENGINE
+    assert item["engine"] == (real("2b") + one).to_text()
 
 
 def test_op_subcommands(capsys):
@@ -91,9 +107,27 @@ def test_op_wrong_arity(capsys):
 
 
 def test_usage_error_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "nonsense"])
-    assert exc.value.code == 2
+    for argv in (["verify", "nonsense"],
+                 ["verify", "cases", "--grid", "-1"],
+                 ["verify", "cases", "--jobs", "0"],
+                 ["verify", "cases", "--grid", "-1", "--jobs", "0"],
+                 ["verify", "d0", "--nilpotency-limit", "0"],
+                 ["verify", "cases", "--grid", "two"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_vacuous_grid_checks_fail():
+    # a grid check that examined no point must not report a pass
+    for check_id, mode, grid in (("cases.case2.grid", "symbolic", -1),
+                                 ("cases.case3a.grid", "symbolic", 0),
+                                 ("cases.case3b.grid", "symbolic", 0),
+                                 ("cases.case4.scalar", "sampled", -1)):
+        cfg = CK.CheckConfig(param_mode=mode, grid=grid)
+        res = CK.run_check(check_id, cfg)
+        assert res.status == "fail", (check_id, res.details)
+        assert "vacuous" in res.details
 
 
 def test_entry_point_parity(capsys):

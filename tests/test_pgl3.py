@@ -251,8 +251,6 @@ def test_twisted_cross_factor_brackets_vanish():
 
 
 def test_weight_helpers():
-    assert P.weight_star((3, 1)) == (1, 3)
-    assert P.weight_dominant((0, 2)) and not P.weight_dominant((-1, 0))
     # nu = lam* - m1 alpha1 - m2 alpha2 in the omega basis
     nu1, nu2 = P.weight_exponents(P.sym_m1(), P.sym_m2())
     s = P.shift_weight((nu1, nu2), {"alpha1": 1, "alpha2": 1})
