@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .ring import parse_ratfunc
 from .weyl import PowerSection, express_as_multiple
 # unused here, but perfbench/tests/test_harness.py checks that the benchmark's
 # patcher rewrites this binding too
@@ -201,37 +202,34 @@ def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str,
     return express_as_multiple(out, target).constant_value()
 
 
+# The engine-derived closed forms of the case scalars, over (m1, m2, nu1, nu2);
+# certificates print these texts and ``closed_form_value`` evaluates them.
+CLOSED_FORMS = {
+    "1": "m1*m2",
+    "2a": "-(1/3)*m1*nu2*(m2 + nu2 + 1)",
+    "2b": "-(1/3)*m2*nu1*(m1 + nu1 + 1)",
+    "3a": "-(2/243)*(nu2+3)*(nu1+m1+1)*(nu1+nu2+1)*(nu1+nu2+m2+2)*(2*nu1+nu2+3)*nu1*(nu1-1)",
+    "3b": "-(2/243)*(nu1+3)*(nu2+m2+1)*(nu1+nu2+1)*(nu1+nu2+m1+2)*(nu1+2*nu2+3)*nu2*(nu2-1)",
+    "4": "-(2/3)*(m1+4)*(m2+4)",
+}
+
+
+@lru_cache(maxsize=None)
+def _parsed_scalar(text: str):
+    return parse_ratfunc(text, P.MATRIX_TABLE)
+
+
+def scalar_at(text: str, p: SupportPoint) -> Fraction:
+    """Value of a scalar formula over (m1, m2, nu1, nu2) at a support point."""
+    return _parsed_scalar(text).evaluate(
+        {"m1": p.m1, "m2": p.m2, "nu1": p.nu1, "nu2": p.nu2})
+
+
 def closed_form_value(case: str, p: SupportPoint) -> Fraction:
     """Evaluate the engine-derived closed form of a case scalar."""
-    m1, m2, nu1, nu2 = p.m1, p.m2, p.nu1, p.nu2
-    if case == "1":
-        return Fraction(m1 * m2)
-    if case == "2b":
-        return Fraction(-m2 * nu1 * (m1 + nu1 + 1), 3)
-    if case == "2a":
-        return Fraction(-m1 * nu2 * (m2 + nu2 + 1), 3)
-    if case == "3a":
-        return Fraction(-2, 3 ** 5) * (nu2 + 3) * (nu1 + m1 + 1) * \
-            (nu1 + nu2 + 1) * (nu1 + nu2 + m2 + 2) * (2 * nu1 + nu2 + 3) * \
-            nu1 * (nu1 - 1)
-    if case == "3b":
-        return Fraction(-2, 3 ** 5) * (nu1 + 3) * (nu2 + m2 + 1) * \
-            (nu1 + nu2 + 1) * (nu1 + nu2 + m1 + 2) * (nu1 + 2 * nu2 + 3) * \
-            nu2 * (nu2 - 1)
-    if case == "4":
-        return Fraction(-2 * (m1 + 4) * (m2 + 4), 3)
-    raise ValueError(f"unknown case {case!r}")
-
-
-def closed_form_text(case: str) -> str:
-    return {
-        "1": "m1*m2",
-        "2a": "-(1/3)*m1*nu2*(m2 + nu2 + 1)",
-        "2b": "-(1/3)*m2*nu1*(m1 + nu1 + 1)",
-        "3a": "-(2/243)*(nu2+3)*(nu1+m1+1)*(nu1+nu2+1)*(nu1+nu2+m2+2)*(2*nu1+nu2+3)*nu1*(nu1-1)",
-        "3b": "-(2/243)*(nu1+3)*(nu2+m2+1)*(nu1+nu2+1)*(nu1+nu2+m1+2)*(nu1+2*nu2+3)*nu2*(nu2-1)",
-        "4": "-(2/3)*(m1+4)*(m2+4)",
-    }[case]
+    if case not in CLOSED_FORMS:
+        raise ValueError(f"unknown case {case!r}")
+    return scalar_at(CLOSED_FORMS[case], p)
 
 
 # -- certificate construction ---------------------------------------------------------
@@ -255,7 +253,7 @@ class _EdgeFactory:
             scalar = case_scalar(self.lam, p, case)
             if scalar != 0:
                 edge = CaseEdge(source, target, case, scalar,
-                                closed_form_text(case))
+                                CLOSED_FORMS[case])
         self.cache[key] = edge
         return edge
 
@@ -373,20 +371,26 @@ def validate_certificate(cert: Certificate) -> list[str]:
         if (e.source[0] + dm1, e.source[1] + dm2) != e.target:
             problems.append(f"edge target inconsistent with case: {e}")
     if cert.status == "irreducible":
-        for pt, trip in cert.paths.items():
-            for leg, goal_at_end in (("to_basepoint", cert.basepoint),
-                                     ("from_basepoint", pt)):
-                start = pt if leg == "to_basepoint" else cert.basepoint
+        for pt in sorted(expected):
+            trip = cert.paths.get(pt, {})
+            for leg, start, goal in (("to_basepoint", pt, cert.basepoint),
+                                     ("from_basepoint", cert.basepoint, pt)):
+                if leg not in trip:
+                    problems.append(f"path of {pt} ({leg}) is missing")
+                    continue
                 cur = start
                 for idx in trip[leg]:
+                    if not 0 <= idx < len(cert.edges):
+                        problems.append(
+                            f"path of {pt} ({leg}) names edge {idx}, which "
+                            "does not exist")
+                        break
                     e = cert.edges[idx]
                     if e.source != cur:
                         problems.append(f"broken path at {pt} ({leg})")
                         break
                     cur = e.target
                 else:
-                    if cur != goal_at_end:
+                    if cur != goal:
                         problems.append(f"path of {pt} ({leg}) ends at {cur}")
-    elif cert.unreachable:
-        pass  # surfaced, nothing further to check
     return problems

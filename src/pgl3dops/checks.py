@@ -72,6 +72,49 @@ def _grid_points(n, dims=4):
     return itertools.product(range(n + 1), repeat=dims)
 
 
+def _parse_composed(text):
+    first, second = text.split(" compose ")
+    return op_compose(REF.op_matrix(first), REF.op_matrix(second))
+
+
+# The reference displays, family by family: display texts by name, the parser
+# of a text, and the engine's derivation of the same name.
+DISPLAY = {
+    "cdv.forward": (REF.CDV_FORWARD, REF.rf_matrix,
+                    lambda name: P.big_cell_in_matrix()[name]),
+    "cdv.backward": (REF.CDV_BACKWARD, REF.rf_big,
+                     lambda name: RatFunc.from_poly(
+                         P.matrix_ratios_in_big_cell()[name])),
+    "fields.matrix.left": (REF.FIELDS_MATRIX_LEFT, REF.op_matrix,
+                           lambda label: P.action_field_matrix(
+                               P.Generator(label, "left"))),
+    "fields.big_cell.left": (REF.FIELDS_BIG_LEFT, REF.op_big,
+                             lambda label: P.action_field_big_cell(
+                                 P.Generator(label, "left"))),
+    "partials": ({"a1": REF.PARTIAL_A1, "a2": REF.PARTIAL_A2}, REF.op_matrix,
+                 lambda name: P.alpha_derivations_matrix()[
+                     ("a1", "a2").index(name)]),
+    "order2": ({"matrix": " compose ".join(REF.ORDER2_FACTORS)},
+               _parse_composed, lambda name: P.mixed_second_order_matrix()),
+    "twists.correction": (REF.TWIST_CORRECTIONS, REF.rf_big,
+                          lambda label: P.twist_correction_big(
+                              P.Generator(label, "left"))),
+}
+
+
+def display_rows(family):
+    """(name, display text, engine value, parsed display) for each display of
+    the family, sorted by name."""
+    texts, parse, engine = DISPLAY[family]
+    return [(name, texts[name], engine(name), parse(texts[name]))
+            for name in sorted(texts)]
+
+
+def _mismatches(family):
+    return [(name, text, eng, ref)
+            for name, text, eng, ref in display_rows(family) if eng != ref]
+
+
 def lagrange_interpolate(values, names, degrees, table):
     """Tensor-grid Lagrange interpolation over integer nodes 0..d_i.
 
@@ -103,23 +146,15 @@ def lagrange_interpolate(values, names, degrees, table):
 
 
 def check_cdv_forward_reference(cfg):
-    fw = P.big_cell_in_matrix()
-    bad = [name for name in fw
-           if fw[name] != REF.rf_matrix(REF.CDV_FORWARD[name])]
+    bad = [name for name, *_ in _mismatches("cdv.forward")]
     if bad:
         return "fail", f"forward formulas differ from the reference: {bad}"
     return "pass", "all 8 forward formulas equal the reference display"
 
 
 def check_cdv_backward_reference(cfg):
-    bw = P.matrix_ratios_in_big_cell()
-    mismatches = []
-    for name, text in REF.CDV_BACKWARD.items():
-        eng = RatFunc.from_poly(bw[name])
-        ref = REF.rf_big(text)
-        if eng != ref:
-            mismatches.append(
-                f"{name}/g33: engine {eng.to_text()} vs display {text}")
+    mismatches = [f"{name}/g33: engine {eng.to_text()} vs display {text}"
+                  for name, text, eng, _ in _mismatches("cdv.backward")]
     if mismatches == [f"g32/g33: engine U32 vs display U23"]:
         return "mismatch-reported", mismatches[0] + " (display typo)"
     if mismatches:
@@ -177,18 +212,9 @@ def check_cdv_homogeneous(cfg):
 # -- vectorfields suite ---------------------------------------------------------------------
 
 
-def _field_reference_matrix(label):
-    return REF.op_matrix(REF.FIELDS_MATRIX_LEFT[label])
-
-
 def check_fields_matrix_reference(cfg):
-    mismatches = []
-    for label in P.GENERATOR_LABELS:
-        eng = P.action_field_matrix(P.Generator(label, "left"))
-        ref = _field_reference_matrix(label)
-        if eng != ref:
-            res = (eng - ref).to_text()
-            mismatches.append(f"{label}: residual engine-display = {res}")
+    mismatches = [f"{label}: residual engine-display = {(eng - ref).to_text()}"
+                  for label, _, eng, ref in _mismatches("fields.matrix.left")]
     if mismatches:
         if all(m.startswith("Y3") for m in mismatches):
             return "mismatch-reported", ("7 of 8 displayed matrix fields "
@@ -207,12 +233,12 @@ def check_fields_bracket_right(cfg):
 
 
 def _bracket_table(factor):
-    for a, b in itertools.combinations(P.GENERATOR_LABELS, 2):
-        ga, gb = P.Generator(a, factor), P.Generator(b, factor)
-        lhs = commutator(P.action_field_matrix(ga), P.action_field_matrix(gb))
-        rhs = P.field_of_matrix(P.mat_bracket(ga.matrix, gb.matrix), factor)
-        if lhs != rhs:
-            return "fail", f"[{a},{b}] ({factor}) differs from the matrix bracket"
+    bad = P.bracket_defects(
+        lambda label: P.action_field_matrix(P.Generator(label, factor)),
+        lambda xi: P.field_of_matrix(xi, factor))
+    if bad:
+        a, b = bad[0]
+        return "fail", f"[{a},{b}] ({factor}) differs from the matrix bracket"
     return "pass", f"all 28 {factor}-factor brackets match matrix commutators"
 
 
@@ -228,9 +254,7 @@ def check_fields_bracket_cross(cfg):
 
 def check_fields_big_cell_reference(cfg):
     matched, mismatches = [], []
-    for label in ("X1", "X2", "X3", "Y1", "Y2", "Y3"):
-        eng = P.action_field_big_cell(P.Generator(label, "left"))
-        ref = REF.op_big(REF.FIELDS_BIG_LEFT[label])
+    for label, _, eng, ref in display_rows("fields.big_cell.left"):
         if eng == ref:
             matched.append(label)
         else:
@@ -274,11 +298,9 @@ def check_fields_homogeneous(cfg):
 
 
 def check_partials_reference(cfg):
-    p1, p2 = P.alpha_derivations_matrix()
-    if p1 != REF.op_matrix(REF.PARTIAL_A1):
-        return "fail", "d/da1 differs from the displayed form"
-    if p2 != REF.op_matrix(REF.PARTIAL_A2):
-        return "fail", "d/da2 differs from the displayed form"
+    bad = _mismatches("partials")
+    if bad:
+        return "fail", f"d/d{bad[0][0]} differs from the displayed form"
     return "pass", "Jacobian inversion reproduces both displayed derivations"
 
 
@@ -295,10 +317,7 @@ def check_partials_action(cfg):
 
 
 def check_d0_reference(cfg):
-    d0 = P.mixed_second_order_matrix()
-    first = REF.op_matrix(REF.ORDER2_FACTORS[0])
-    second = REF.op_matrix(REF.ORDER2_FACTORS[1])
-    if d0 != op_compose(first, second):
+    if _mismatches("order2"):
         return "fail", "composed operator differs from the displayed expansion"
     return "pass", "composed operator equals the displayed second-order form"
 
@@ -348,11 +367,11 @@ def check_d0_euler(cfg):
 
 
 def check_twist_corrections(cfg):
-    for label, text in REF.TWIST_CORRECTIONS.items():
-        eng = P.twist_correction_big(P.Generator(label, "left"))
-        if eng != REF.rf_big(text):
-            return "fail", (f"correction of {label} is {eng.to_text()}, "
-                            f"display has {text}")
+    bad = _mismatches("twists.correction")
+    if bad:
+        label, text, eng, _ = bad[0]
+        return "fail", (f"correction of {label} is {eng.to_text()}, "
+                        f"display has {text}")
     return "pass", "all six zero-order corrections match the display"
 
 
@@ -416,13 +435,12 @@ def check_twist_descent_example(cfg):
 
 def check_twist_bracket_table(cfg):
     """[twisted(xi), twisted(eta)] = twisted([xi, eta]) with symbolic lam."""
-    for a, b in itertools.combinations(P.GENERATOR_LABELS, 2):
-        ga, gb = P.Generator(a, "left"), P.Generator(b, "left")
-        lhs = commutator(P.twisted_field_matrix(ga), P.twisted_field_matrix(gb))
-        rhs = P.twisted_field_of_matrix(P.mat_bracket(ga.matrix, gb.matrix),
-                                        "left")
-        if lhs != rhs:
-            return "fail", f"twisted bracket [{a},{b}] fails"
+    bad = P.bracket_defects(
+        lambda label: P.twisted_field_matrix(P.Generator(label, "left")),
+        P.twisted_field_of_matrix)
+    if bad:
+        a, b = bad[0]
+        return "fail", f"twisted bracket [{a},{b}] fails"
     for a, b in (("X1", "Y2"), ("H1", "Y3"), ("Y1", "X3"), ("H2", "H1")):
         lhs = commutator(P.twisted_field_matrix(P.Generator(a, "left")),
                          P.twisted_field_matrix(P.Generator(b, "right")))
@@ -647,65 +665,53 @@ def check_case2b_interpolation(cfg):
                     "symbolic scalar and matches out-of-grid samples")
 
 
-def check_case2_grid(cfg):
-    n = cfg.grid
-    checked = 0
-    display_disagreements = 0
-    for l1, l2, m1, m2 in _grid_points(n):
+def _grid_scalars(cfg, case, keep):
+    """Compare the case's engine scalar with its closed form at each grid
+    point (lam, m) in [0, grid]^4 whose support point ``keep`` admits.
+
+    Returns the (point, scalar) pairs checked, or the text of the failure.
+    """
+    checked = []
+    for l1, l2, m1, m2 in _grid_points(cfg.grid):
         p = CERT.SupportPoint(m1, m2, *CERT.weight_at((l1, l2), m1, m2))
-        got = CERT.case_scalar((l1, l2), p, "2b", check_preconditions=False)
-        want = CERT.closed_form_value("2b", p)
+        if not keep(p):
+            continue
+        got = CERT.case_scalar((l1, l2), p, case, check_preconditions=False)
+        want = CERT.closed_form_value(case, p)
         if got != want:
-            return "fail", f"engine vs closed form at lam=({l1},{l2}) m=({m1},{m2})"
-        displayed = Fraction(-m2, 3) * ((m1 + p.nu1) * (p.nu1 + 1) + p.nu1)
-        if got != displayed:
-            display_disagreements += 1
-        checked += 1
+            return (f"engine {got} vs closed form {want} at "
+                    f"lam=({l1},{l2}) m=({m1},{m2})")
+        checked.append((p, got))
     if not checked:
-        return "fail", "no grid point was checked; the check is vacuous"
+        return "no grid point was checked; the check is vacuous"
+    return checked
+
+
+def check_case2_grid(cfg):
+    rows = _grid_scalars(cfg, "2b", lambda p: True)
+    if isinstance(rows, str):
+        return "fail", rows
+    display_disagreements = sum(
+        got != CERT.scalar_at(REF.CASE2B_SCALAR_DISPLAYED, p) for p, got in rows)
     return "pass", (f"engine matches the corrected closed form on all "
-                    f"{checked} grid points; the displayed form disagrees on "
+                    f"{len(rows)} grid points; the displayed form disagrees on "
                     f"{display_disagreements} of them (see concordance)")
 
 
 def check_case3a_grid(cfg):
-    n = cfg.grid
-    checked = 0
-    for l1, l2, m1, m2 in _grid_points(n):
-        nu1, nu2 = CERT.weight_at((l1, l2), m1, m2)
-        if nu1 < 2:
-            continue
-        p = CERT.SupportPoint(m1, m2, nu1, nu2)
-        got = CERT.case_scalar((l1, l2), p, "3a", check_preconditions=False)
-        want = CERT.closed_form_value("3a", p)
-        if got != want:
-            return "fail", (f"engine {got} vs displayed product {want} at "
-                            f"lam=({l1},{l2}) m=({m1},{m2})")
-        checked += 1
-    if not checked:
-        return "fail", "no grid point was checked; the check is vacuous"
+    rows = _grid_scalars(cfg, "3a", lambda p: p.nu1 >= 2)
+    if isinstance(rows, str):
+        return "fail", rows
     return "pass", (f"engine scalar equals the displayed 7-factor product at "
-                    f"all {checked} grid points with nu1 >= 2")
+                    f"all {len(rows)} grid points with nu1 >= 2")
 
 
 def check_case3b_grid(cfg):
-    n = cfg.grid
-    checked = 0
-    for l1, l2, m1, m2 in _grid_points(n):
-        nu1, nu2 = CERT.weight_at((l1, l2), m1, m2)
-        if nu2 < 2:
-            continue
-        p = CERT.SupportPoint(m1, m2, nu1, nu2)
-        got = CERT.case_scalar((l1, l2), p, "3b", check_preconditions=False)
-        want = CERT.closed_form_value("3b", p)
-        if got != want:
-            return "fail", (f"engine {got} vs mirrored product {want} at "
-                            f"lam=({l1},{l2}) m=({m1},{m2})")
-        checked += 1
-    if not checked:
-        return "fail", "no grid point was checked; the check is vacuous"
+    rows = _grid_scalars(cfg, "3b", lambda p: p.nu2 >= 2)
+    if isinstance(rows, str):
+        return "fail", rows
     return "pass", (f"engine-derived mirrored product verified at all "
-                    f"{checked} grid points with nu2 >= 2")
+                    f"{len(rows)} grid points with nu2 >= 2")
 
 
 def check_case4_scalar(cfg):
@@ -748,7 +754,8 @@ def check_case_signs(cfg):
     # case 2b: computed scalar is <= 0, zero exactly when nu1 = 0
     boundary = CERT.SupportPoint(1, 1, *CERT.weight_at((1, 1), 1, 1))
     got = CERT.case_scalar((1, 1), boundary, "2b")
-    claimed_positive = Fraction(1, 3) * ((1 + 0) * (0 + 1) + 0)
+    # the display claims that minus its case-2 scalar is positive for m2 >= 1
+    claimed_positive = -CERT.scalar_at(REF.CASE2B_SCALAR_DISPLAYED, boundary)
     if got == 0 and claimed_positive > 0:
         notes.append("case 2 scalar vanishes at nu1 = 0 (m1 >= 1) although "
                      "the displayed positivity bound is nonzero there; with "
@@ -839,7 +846,7 @@ def check_conics_euler(cfg):
 
 
 def check_conics_brackets(cfg):
-    bad = CON.bracket_table_defects()
+    bad = P.bracket_defects(CON.generator_field_cone, CON.action_field_cone)
     if bad:
         return "fail", f"bracket failures: {bad}"
     return "pass", "cone fields satisfy the full sl3 bracket table"
@@ -992,50 +999,10 @@ def _item(item_id, reference, engine, residual=None):
 
 def concordance_items() -> list[dict]:
     """Formula-by-formula comparison of the engine against the display."""
-    items = []
-    fw = P.big_cell_in_matrix()
-    for name in sorted(REF.CDV_FORWARD):
-        ref = REF.rf_matrix(REF.CDV_FORWARD[name])
-        eng = fw[name]
-        items.append(_item(f"cdv.forward.{name}", REF.CDV_FORWARD[name],
-                           eng.to_text(),
-                           None if eng == ref else (eng - ref).to_text()))
-    bw = P.matrix_ratios_in_big_cell()
-    for name in sorted(REF.CDV_BACKWARD):
-        ref = REF.rf_big(REF.CDV_BACKWARD[name])
-        eng = RatFunc.from_poly(bw[name])
-        items.append(_item(f"cdv.backward.{name}", REF.CDV_BACKWARD[name],
-                           eng.to_text(),
-                           None if eng == ref else (eng - ref).to_text()))
-    for label in sorted(REF.FIELDS_MATRIX_LEFT):
-        ref = REF.op_matrix(REF.FIELDS_MATRIX_LEFT[label])
-        eng = P.action_field_matrix(P.Generator(label, "left"))
-        items.append(_item(f"fields.matrix.left.{label}",
-                           REF.FIELDS_MATRIX_LEFT[label], eng.to_text(),
-                           None if eng == ref else (eng - ref).to_text()))
-    for label in sorted(REF.FIELDS_BIG_LEFT):
-        ref = REF.op_big(REF.FIELDS_BIG_LEFT[label])
-        eng = P.action_field_big_cell(P.Generator(label, "left"))
-        items.append(_item(f"fields.big_cell.left.{label}",
-                           REF.FIELDS_BIG_LEFT[label], eng.to_text(),
-                           None if eng == ref else (eng - ref).to_text()))
-    p1, p2 = P.alpha_derivations_matrix()
-    for name, op, text in (("a1", p1, REF.PARTIAL_A1), ("a2", p2, REF.PARTIAL_A2)):
-        ref = REF.op_matrix(text)
-        items.append(_item(f"partials.{name}", text, op.to_text(),
-                           None if op == ref else (op - ref).to_text()))
-    d0 = P.mixed_second_order_matrix()
-    ref_d0 = op_compose(REF.op_matrix(REF.ORDER2_FACTORS[0]),
-                        REF.op_matrix(REF.ORDER2_FACTORS[1]))
-    items.append(_item("order2.matrix",
-                       " compose ".join(REF.ORDER2_FACTORS), d0.to_text(),
-                       None if d0 == ref_d0 else (d0 - ref_d0).to_text()))
-    for label in sorted(REF.TWIST_CORRECTIONS):
-        ref = REF.rf_big(REF.TWIST_CORRECTIONS[label])
-        eng = P.twist_correction_big(P.Generator(label, "left"))
-        items.append(_item(f"twists.correction.{label}",
-                           REF.TWIST_CORRECTIONS[label], eng.to_text(),
-                           None if eng == ref else (eng - ref).to_text()))
+    items = [_item(f"{family}.{name}", text, eng.to_text(),
+                   None if eng == ref else (eng - ref).to_text())
+             for family in DISPLAY
+             for name, text, eng, ref in display_rows(family)]
     # case scalars (symbolic where available)
     c1 = _sym_case_scalar("1")
     ref1 = _sub_nu(REF.rf_matrix(REF.CASE1_SCALAR))
@@ -1052,7 +1019,7 @@ def concordance_items() -> list[dict]:
     r_eng = CERT.case_scalar((1, 3), p, "3a")
     r_ref = CERT.closed_form_value("3a", p)
     items.append(_item("cases.3a.scalar", REF.CASE3A_SCALAR_DISPLAYED,
-                       CERT.closed_form_text("3a"),
+                       CERT.CLOSED_FORMS["3a"],
                        None if r_eng == r_ref else f"sample defect {r_eng - r_ref}"))
     items.append(_item("cases.3.sign", "display asserts the scalar is > 0",
                        f"computed r = {r_eng} < 0 at nu=(2,0), m=(1,1)",
@@ -1061,7 +1028,7 @@ def concordance_items() -> list[dict]:
     p4 = CERT.SupportPoint(0, 0, 1, 1)
     got4 = CERT.case_scalar((1, 1), p4, "4")
     items.append(_item("cases.4.scalar", REF.CASE4_SCALAR,
-                       CERT.closed_form_text("4"),
+                       CERT.CLOSED_FORMS["4"],
                        None if got4 == c4sym.evaluate({"m1": 0, "m2": 0})
                        else f"sample defect {got4}"))
     chi_eng = _sub_nu(P.central_character(Affine.param("nu1"), Affine.param("nu2")))

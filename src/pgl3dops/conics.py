@@ -27,9 +27,9 @@ from functools import lru_cache
 
 from .ring import Poly, RatFunc, VarTable
 from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
-                   ad_nilpotency_depth, commutator, conjugate, op_compose,
-                   regular_on, transport)
-from .pgl3 import PARAMS, _GEN_MATRICES, NILPOTENT_LABELS
+                   ad_nilpotency_depth, conjugate, op_compose, regular_on,
+                   transport)
+from .pgl3 import PARAMS, _GEN_MATRICES, NILPOTENT_LABELS, homogenize, mat_mul
 
 CONIC_NAMES = ("u12", "u13", "u23", "x", "y")
 ENTRY_NAMES = ("s12", "s13", "s22", "s23", "s33")
@@ -66,19 +66,11 @@ def parametrization() -> tuple[tuple, tuple]:
     u = [[one, u12, u13],
          [zero, one, u23],
          [zero, zero, one]]
-
-    def mul(p, q):
-        return [[sum((p[i][k] * q[k][j] for k in range(3)), start=zero)
-                 for j in range(3)] for i in range(3)]
-
-    def transpose(p):
-        return [[p[j][i] for j in range(3)] for i in range(3)]
-
     d1 = [[one, zero, zero], [zero, x, zero], [zero, zero, x * y]]
     d2 = [[x * y, zero, zero], [zero, y, zero], [zero, zero, one]]
-    s = mul(mul(transpose(vinv), d1), vinv)
-    sp = mul(mul(u, d2), transpose(u))
-    return (tuple(tuple(row) for row in s), tuple(tuple(row) for row in sp))
+    s = mat_mul(mat_mul(tuple(zip(*vinv)), d1, zero), vinv, zero)
+    sp = mat_mul(mat_mul(u, d2, zero), tuple(zip(*u)), zero)
+    return s, sp
 
 
 def membership_defect() -> tuple[list, Poly]:
@@ -88,9 +80,7 @@ def membership_defect() -> tuple[list, Poly]:
     common scalar (S S')_11, which should equal x*y).
     """
     s, sp = parametrization()
-    zero = CONIC_TABLE.zero()
-    prod = [[sum((s[i][k] * sp[k][j] for k in range(3)), start=zero)
-             for j in range(3)] for i in range(3)]
+    prod = mat_mul(s, sp, CONIC_TABLE.zero())
     defects = []
     for i in range(3):
         for j in range(3):
@@ -172,18 +162,7 @@ def action_field_cone(xi) -> DiffOp:
     exp(-t xi) S' t(exp(-t xi)); entry (i <= j) coefficients are read off the
     symmetric derivative matrices.
     """
-    terms = {}
-
-    def add(name: str, coeff: Poly):
-        if coeff.is_zero():
-            return
-        idx = [0] * len(CONE_NAMES)
-        idx[CONE.coord_index(name)] = 1
-        key = tuple(idx)
-        rf = RatFunc.from_poly(coeff)
-        cur = terms.get(key)
-        terms[key] = rf if cur is None else cur + rf
-
+    coeffs = {}
     for i in range(1, 4):
         for j in range(i, 4):
             # (t(xi) S + S xi)_{ij}
@@ -193,7 +172,7 @@ def action_field_cone(xi) -> DiffOp:
                     coeff = coeff + _cone_var("S", k, j).scale(xi[k - 1][i - 1])
                 if xi[k - 1][j - 1]:
                     coeff = coeff + _cone_var("S", i, k).scale(xi[k - 1][j - 1])
-            add(f"S{i}{j}", coeff)
+            coeffs[f"S{i}{j}"] = RatFunc.from_poly(coeff)
             # -(xi S' + S' t(xi))_{ij}
             coeff = CONE_TABLE.zero()
             for k in range(1, 4):
@@ -201,8 +180,8 @@ def action_field_cone(xi) -> DiffOp:
                     coeff = coeff + _cone_var("T", k, j).scale(-xi[i - 1][k - 1])
                 if xi[j - 1][k - 1]:
                     coeff = coeff + _cone_var("T", i, k).scale(-xi[j - 1][k - 1])
-            add(f"T{i}{j}", coeff)
-    return DiffOp(CONE, terms)
+            coeffs[f"T{i}{j}"] = RatFunc.from_poly(coeff)
+    return DiffOp.field(CONE, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -212,31 +191,14 @@ def generator_field_cone(label: str) -> DiffOp:
 
 
 def euler_field_cone(prefix: str) -> DiffOp:
-    terms = {}
-    for i, j in SYM_POSITIONS:
-        name = f"{prefix}{i}{j}"
-        idx = [0] * len(CONE_NAMES)
-        idx[CONE.coord_index(name)] = 1
-        terms[tuple(idx)] = RatFunc.var(CONE_TABLE, name)
-    return DiffOp(CONE, terms)
+    names = [f"{prefix}{i}{j}" for i, j in SYM_POSITIONS]
+    return DiffOp.field(CONE, {n: RatFunc.var(CONE_TABLE, n) for n in names})
 
 
 @lru_cache(maxsize=None)
 def mixed_derivative_cone() -> DiffOp:
     """Lift of the entry-chart operator to the S-cone (degree-0 homogeneous)."""
-    op = mixed_derivative_entry()
-    s11 = RatFunc.from_poly(_cone_var("S", 1, 1))
-    mapping = {f"s{i}{j}": RatFunc.from_poly(_cone_var("S", i, j)) / s11
-               for (i, j) in SYM_POSITIONS if (i, j) != (1, 1)}
-    terms = {}
-    for K, c in op.terms.items():
-        coeff = c.substitute(mapping) * s11 ** sum(K)
-        idx = [0] * len(CONE_NAMES)
-        for pos, k in enumerate(K):
-            name = "S" + ENTRY_NAMES[pos][1:]
-            idx[CONE.coord_index(name)] = k
-        terms[tuple(idx)] = coeff
-    return DiffOp(CONE, terms)
+    return homogenize(mixed_derivative_entry(), CONE, "S11")
 
 
 def cone_nilpotency_depths(limit: int = 12) -> dict[str, int | None]:
@@ -254,20 +216,3 @@ def twisted_mixed_derivative() -> DiffOp:
         (_cone_var("T", 3, 3), Affine.param("lam2"))])
     return conjugate(mixed_derivative_cone(), section)
 
-
-def bracket_table_defects() -> list[tuple[str, str]]:
-    """Pairs of generators whose cone fields fail the sl3 bracket relations."""
-    from .pgl3 import mat_bracket, Generator
-    bad = []
-    labels = tuple(_GEN_MATRICES)
-    for a in labels:
-        for b in labels:
-            if a >= b:
-                continue
-            ma = Generator(a).matrix
-            mb = Generator(b).matrix
-            lhs = commutator(generator_field_cone(a), generator_field_cone(b))
-            rhs = action_field_cone(mat_bracket(ma, mb))
-            if lhs != rhs:
-                bad.append((a, b))
-    return bad

@@ -24,6 +24,7 @@ in the parameters lam1, lam2, m1, m2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,7 @@ from typing import Mapping
 
 from .ring import Poly, RatFunc, VarTable
 from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
-                   conjugate, op_apply_section, op_compose,
+                   commutator, conjugate, op_apply_section, op_compose,
                    regular_on, transport)
 
 PARAMS = ("lam1", "lam2", "m1", "m2", "nu1", "nu2")
@@ -139,9 +140,10 @@ class Generator:
                      for row in _GEN_MATRICES[self.label])
 
 
-def mat_mul(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                 for i in range(3))
+def mat_mul(a, b, zero=0):
+    """Product of two 3x3 matrices whose entries add up from ``zero``."""
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(3)), start=zero)
+                       for j in range(3)) for i in range(3))
 
 
 def mat_bracket(a, b):
@@ -206,28 +208,17 @@ def field_of_matrix(xi, factor: str = "left") -> DiffOp:
     other; the right-factor sign is calibrated so the canonical section has
     torus weight (-lam2, -lam1) under the right Cartan fields.
     """
-    terms = {}
+    coeffs = {}
     for i in range(3):
         for j in range(3):
-            if factor == "left":
-                coeff = MATRIX_TABLE.zero()
-                for k in range(3):
-                    if xi[i][k]:
-                        coeff = coeff + gvar(k + 1, j + 1).scale(-xi[i][k])
-            else:
-                coeff = MATRIX_TABLE.zero()
-                for k in range(3):
-                    if xi[k][j]:
-                        coeff = coeff + gvar(i + 1, k + 1).scale(xi[k][j])
-            if coeff.is_zero():
-                continue
-            idx = [0] * 9
-            idx[MATRIX.coord_index(f"g{i + 1}{j + 1}")] = 1
-            key = tuple(idx)
-            cur = terms.get(key)
-            rf = RatFunc.from_poly(coeff)
-            terms[key] = rf if cur is None else cur + rf
-    return DiffOp(MATRIX, terms)
+            coeff = MATRIX_TABLE.zero()
+            for k in range(3):
+                if factor == "left" and xi[i][k]:
+                    coeff = coeff + gvar(k + 1, j + 1).scale(-xi[i][k])
+                elif factor != "left" and xi[k][j]:
+                    coeff = coeff + gvar(i + 1, k + 1).scale(xi[k][j])
+            coeffs[f"g{i + 1}{j + 1}"] = RatFunc.from_poly(coeff)
+    return DiffOp.field(MATRIX, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -236,14 +227,19 @@ def action_field_matrix(gen: Generator) -> DiffOp:
     return field_of_matrix(gen.matrix, gen.factor)
 
 
+def bracket_defects(field, field_of_matrix) -> list[tuple[str, str]]:
+    """Generator pairs (a, b) whose fields break the bracket table, that is
+    [field(a), field(b)] != field_of_matrix([a, b]); ``field`` maps a
+    generator label and ``field_of_matrix`` an sl3 matrix to an operator."""
+    return [(a, b) for a, b in itertools.combinations(GENERATOR_LABELS, 2)
+            if commutator(field(a), field(b)) != field_of_matrix(
+                mat_bracket(Generator(a).matrix, Generator(b).matrix))]
+
+
 @lru_cache(maxsize=None)
 def euler_field_matrix() -> DiffOp:
-    terms = {}
-    for name in MATRIX_NAMES:
-        idx = [0] * 9
-        idx[MATRIX.coord_index(name)] = 1
-        terms[tuple(idx)] = RatFunc.var(MATRIX_TABLE, name)
-    return DiffOp(MATRIX, terms)
+    return DiffOp.field(MATRIX, {name: RatFunc.var(MATRIX_TABLE, name)
+                                 for name in MATRIX_NAMES})
 
 
 # -- change of variables -----------------------------------------------------------------
@@ -284,12 +280,7 @@ def matrix_ratios_in_big_cell() -> dict[str, Poly]:
     up = [[one, zero, zero],
           [t.var("U21"), one, zero],
           [t.var("U31"), t.var("U32"), one]]
-
-    def mul(p, q):
-        return [[sum((p[i][k] * q[k][j] for k in range(3)), start=zero)
-                 for j in range(3)] for i in range(3)]
-
-    prod = mul(mul(u, a), up)
+    prod = mat_mul(mat_mul(u, a, zero), up, zero)
     return {f"g{i + 1}{j + 1}": prod[i][j] for i in range(3) for j in range(3)}
 
 
@@ -328,19 +319,9 @@ def slice_to_ratio(f: RatFunc) -> RatFunc:
     return f.substitute(mapping)
 
 
-def ratio_to_matrix(f: RatFunc) -> RatFunc:
-    """Express a ratio-chart function through the degree-0 fractions g_ij/g33."""
-    g33 = RatFunc.from_poly(gvar(3, 3))
-    mapping = {f"x{i}{j}": RatFunc.from_poly(gvar(i, j)) / g33
-               for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) != (3, 3)}
-    return f.substitute(mapping)
-
-
 def matrix_deg0_to_big(f: RatFunc) -> RatFunc:
     """Express a degree-0 matrix-chart function in big-cell coordinates."""
-    mapping = {f"x{i}{j}": RatFunc.from_poly(matrix_ratios_in_big_cell()[f"g{i}{j}"])
-               for i in (1, 2, 3) for j in (1, 2, 3) if (i, j) != (3, 3)}
-    return slice_to_ratio(f).substitute(mapping)
+    return map_ratio_to_big().substitute_to_target(slice_to_ratio(f))
 
 
 def big_to_matrix_deg0(f: RatFunc) -> RatFunc:
@@ -348,24 +329,28 @@ def big_to_matrix_deg0(f: RatFunc) -> RatFunc:
     return f.substitute(big_cell_in_matrix())
 
 
-def homogenize(op: DiffOp) -> DiffOp:
-    """Lift a ratio-chart operator to the matrix chart.
+def homogenize(op: DiffOp, target: Chart = MATRIX, unit: str = "g33") -> DiffOp:
+    """Lift an operator on a ratio chart to the homogeneous chart ``target``.
 
-    Coefficients are rewritten through g_ij/g33 and each derivative order
-    picks up one factor of g33; the lift acts identically on functions that
-    are homogeneous of degree 0.
+    Each coordinate c of the ratio chart stands for (unit[0] + c[1:]) / unit,
+    for instance x12 for g12/g33.  Coefficients are rewritten through these
+    ratios and each derivative order picks up one factor of the unit; the
+    lift acts identically on functions that are homogeneous of degree 0.
     """
-    if op.chart is not RATIO:
-        raise ValueError("homogenize expects a ratio-chart operator")
-    g33 = RatFunc.from_poly(gvar(3, 3))
+    names = [unit[0] + c[1:] for c in op.chart.coords]
+    if unit in names or not set(names) <= set(target.coords):
+        raise ValueError("homogenize expects an operator on a ratio chart")
+    u = RatFunc.var(target.table, unit)
+    ratios = {c: RatFunc.var(target.table, name) / u
+              for c, name in zip(op.chart.coords, names)}
+    positions = [target.coord_index(name) for name in names]
     terms = {}
     for K, c in op.terms.items():
-        coeff = ratio_to_matrix(c) * g33 ** sum(K)
-        idx = [0] * 9
-        for pos, k in enumerate(K):
-            idx[MATRIX.coord_index("g" + RATIO_NAMES[pos][1:])] = k
-        terms[tuple(idx)] = coeff
-    return DiffOp(MATRIX, terms)
+        idx = [0] * len(target.coords)
+        for pos, k in zip(positions, K):
+            idx[pos] = k
+        terms[tuple(idx)] = c.substitute(ratios) * u ** sum(K)
+    return DiffOp(target, terms)
 
 
 def dehomogenize_field(op: DiffOp) -> DiffOp:
@@ -377,10 +362,8 @@ def dehomogenize_field(op: DiffOp) -> DiffOp:
     if op.order() > 1:
         raise ValueError("dehomogenize_field is restricted to order <= 1")
     out = DiffOp.zero(RATIO)
-    euler = DiffOp(RATIO, {
-        tuple(1 if i == pos else 0 for i in range(8)):
-            -RatFunc.from_poly(RATIO_TABLE.var(name))
-        for pos, name in enumerate(RATIO_NAMES)})
+    euler = DiffOp.field(RATIO, {name: -RatFunc.var(RATIO_TABLE, name)
+                                 for name in RATIO_NAMES})
     for K, c in op.terms.items():
         coeff = slice_to_ratio(c)
         if not any(K):

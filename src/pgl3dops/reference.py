@@ -120,12 +120,6 @@ CASE4_SCALAR = "-(2/3)*(m1+4)*(m2+4)"
 
 CHI_TEXT = "(nu1 + nu2)/3 + (nu1^2 + nu1*nu2 + nu2^2)/9"
 
-# displayed sign remarks (checked, and reported when they disagree with the
-# computed scalars): case 2 claims (m2/3)((m1+nu1)(nu1+1)+nu1) > 0 for
-# m2 >= 1, and case 3 claims its scalar is > 0.
-CASE2B_POSITIVITY_HYPOTHESIS = "m2 >= 1, nu dominant"
-CASE3_POSITIVITY_CLAIM = "> 0"
-
 
 def op_matrix(text: str):
     return parse_operator(text, MATRIX)

@@ -68,7 +68,9 @@ class VarTable:
     Exponent vectors are packed into integers, 16 bits per variable with the
     first variable in the highest field, so that integer comparison agrees
     with descending lexicographic order and multiplying monomials is a
-    single integer addition.  Individual exponents must stay below 2^15.
+    single integer addition.  Individual exponents must stay below 2^15:
+    ``encode`` rejects a larger one and a product that reaches one raises
+    ``OverflowError``, so no exponent carries into its neighbour.
     """
 
     BITS = 16
@@ -106,6 +108,8 @@ class VarTable:
         for e, s in zip(exp, self.shifts):
             if e < 0:
                 raise ValueError("negative exponent")
+            if e >> (self.BITS - 1):
+                raise ValueError(f"exponent {e} is not below 2^{self.BITS - 1}")
             key |= e << s
         return key
 
@@ -224,7 +228,15 @@ class Poly:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return Poly._raw(self.table, {k: _num(v) for k, v in out.items()})
+        # every field of a factor is below 2^15, so a field of a product key
+        # reaches at most its guard bit and never carries past it
+        guard = self.table.guard
+        terms = {}
+        for k, v in out.items():
+            if k & guard:
+                raise OverflowError("a product exponent is not below 2^15")
+            terms[k] = _num(v)
+        return Poly._raw(self.table, terms)
 
     def scale(self, k) -> "Poly":
         k = _num(_frac(k))

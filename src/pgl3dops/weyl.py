@@ -105,10 +105,19 @@ class DiffOp:
 
     @staticmethod
     def partial(chart: Chart, name: str, coeff: RatFunc | None = None) -> "DiffOp":
-        idx = [0] * len(chart.coords)
-        idx[chart.coord_index(name)] = 1
         coeff = coeff if coeff is not None else RatFunc.const(chart.table, 1)
-        return DiffOp(chart, {tuple(idx): coeff})
+        return DiffOp.field(chart, {name: coeff})
+
+    @staticmethod
+    def field(chart: Chart, coeffs: Mapping[str, RatFunc]) -> "DiffOp":
+        """The first-order operator sum of coeff * d/dname, terms in the
+        mapping's order."""
+        terms = {}
+        for name, coeff in coeffs.items():
+            idx = [0] * len(chart.coords)
+            idx[chart.coord_index(name)] = 1
+            terms[tuple(idx)] = coeff
+        return DiffOp(chart, terms)
 
     # -- linear structure ------------------------------------------------------
 
@@ -397,13 +406,9 @@ class ChartMap:
             jac = [[self.forward[y].differentiate(z) for z in tgt.coords]
                    for y in src.coords]
             inv = invert_matrix(jac)
-            n = len(src.coords)
             self._partials = [
-                DiffOp(tgt, {
-                    tuple(1 if t == j else 0 for t in range(n)): inv[j][i]
-                    for j in range(n) if not inv[j][i].is_zero()
-                })
-                for i in range(n)
+                DiffOp.field(tgt, {z: row[i] for z, row in zip(tgt.coords, inv)})
+                for i in range(len(src.coords))
             ]
         return self._partials
 

@@ -135,6 +135,22 @@ def test_checker_rejects_corruption():
                          cert.basepoint, cert.paths, cert.status)
     problems = C.validate_certificate(bad3)
     assert any("unknown case label" in p for p in problems)
+    # corrupt paths are reported, not raised: an edge index past the end, a
+    # missing leg, a negative index naming the right edge from the end, and
+    # a support point whose paths were dropped
+    pt = next(pt for pt, trip in cert.paths.items() if trip["to_basepoint"])
+    trip = cert.paths[pt]
+    wrapped = [i - len(cert.edges) for i in trip["to_basepoint"]]
+    for trip_at_pt in ({**trip, "to_basepoint": [999]},
+                       {"to_basepoint": trip["to_basepoint"]},
+                       {**trip, "to_basepoint": wrapped},
+                       None):
+        paths = {k: v for k, v in cert.paths.items() if k != pt}
+        if trip_at_pt is not None:
+            paths[pt] = trip_at_pt
+        bad4 = C.Certificate(cert.lam, cert.support, cert.edges,
+                             cert.basepoint, paths, cert.status)
+        assert C.validate_certificate(bad4), trip_at_pt
     # zero scalar cannot even be constructed
     with pytest.raises(ValueError):
         C.CaseEdge((1, 0), (0, 0), "2a", Fraction(0), "x")

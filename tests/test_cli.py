@@ -90,6 +90,29 @@ def test_concordance_engine_column_is_the_computed_scalar(monkeypatch):
     assert item["engine"] == (real("2b") + one).to_text()
 
 
+# the check that compares each display family with the engine
+DISPLAY_CHECKS = {"cdv.forward": "cdv.forward.reference",
+                  "cdv.backward": "cdv.backward.reference",
+                  "fields.matrix.left": "fields.matrix.reference",
+                  "fields.big_cell.left": "fields.big_cell.reference",
+                  "partials": "partials.reference",
+                  "order2": "d0.reference",
+                  "twists.correction": "twists.corrections"}
+
+
+def test_display_checks_agree_with_the_concordance():
+    assert set(DISPLAY_CHECKS) == set(CK.DISPLAY)
+    items = CK.concordance_items()
+    for family, check_id in DISPLAY_CHECKS.items():
+        prefix = family + "."
+        mismatched = [i["id"][len(prefix):] for i in items
+                      if i["id"].startswith(prefix) and i["status"] == "mismatch"]
+        res = CK.run_check(check_id, CK.CheckConfig())
+        assert (res.status == "pass") == (not mismatched), (family, res)
+        for name in mismatched:
+            assert name in res.details, (family, name, res.details)
+
+
 def test_op_subcommands(capsys):
     code, out = run(["op", "apply", "d/da1 d/da2", "a1^3*a2^2",
                      "--chart", "big_cell"], capsys)

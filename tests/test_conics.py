@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from pgl3dops import conics as C
+from pgl3dops import pgl3 as P
 from pgl3dops.ring import RatFunc
 from pgl3dops.weyl import commutator, op_apply, parse_operator, regular_on
 
@@ -62,7 +63,7 @@ def test_euler_bihomogeneity():
 
 
 def test_bracket_table():
-    assert C.bracket_table_defects() == []
+    assert P.bracket_defects(C.generator_field_cone, C.action_field_cone) == []
 
 
 def test_twisted_operator_specialises():

@@ -1,22 +1,27 @@
-"""Source hygiene: every module-level private name of the package is used."""
+"""Source hygiene: every module-level private name of the package is used,
+and so is every public constant of the reference displays."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pgl3dops"
+TESTS = Path(__file__).resolve().parent
+
+
+def _bound_names(node):
+    """Module-level names bound by one top-level statement."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
 
 
 def _private_names(node):
-    """Module-level private names bound by one top-level statement."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        names = [node.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in _bound_names(node)
+            if n.startswith("_") and not n.startswith("__")]
 
 
 def _references(node):
@@ -46,3 +51,22 @@ def dead_private_names(src=SRC):
 
 def test_no_dead_private_module_names():
     assert dead_private_names() == []
+
+
+def unused_reference_constants(src=SRC, tests=TESTS):
+    """Public constants of ``reference.py`` that no other top-level statement
+    of the package or of the tests refers to."""
+    constants, refs = set(), set()
+    for path in sorted(src.glob("*.py")) + sorted(tests.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if path.name == "reference.py" and isinstance(
+                    node, (ast.Assign, ast.AnnAssign)):
+                constants.update(n for n in _bound_names(node)
+                                 if not n.startswith("_"))
+            else:
+                refs |= _references(node)
+    return sorted(constants - refs)
+
+
+def test_every_reference_constant_is_used():
+    assert unused_reference_constants() == []

@@ -159,6 +159,22 @@ def test_exact_division():
     assert p.divide_exact(x + TABLE.one()) is None
 
 
+def test_packed_exponent_overflow_raises():
+    # exponents are packed 16 bits per variable and must stay below 2^15;
+    # each of these used to wrap into the neighbouring variable
+    t = VarTable(coords=("x", "y"))
+    x, y = t.var("x"), t.var("y")
+    with pytest.raises(OverflowError):
+        y ** 40000 * y ** 40000
+    with pytest.raises(OverflowError):
+        x ** 70000
+    with pytest.raises(OverflowError):
+        y ** 16384 * y ** 16384
+    with pytest.raises(ValueError):
+        Poly(t, {(0, 70000): 1})
+    assert (y ** 16384 * y ** 16383).terms_as_tuples() == {(0, 32767): 1}
+
+
 def test_text_round_trip():
     rng = random.Random(23)
     for _ in range(12):
