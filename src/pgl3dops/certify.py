@@ -11,7 +11,8 @@ nonzero scalars: an edge p -> q asserts that the section at q is obtained
 from the section at p by an explicit global operator (one of four kinds of
 moves, each built from the twisted order-2 operator, Weyl twists and Casimir
 shifts).  Every scalar is computed by actually applying the operators to the
-sections; closed forms are recorded alongside for comparison.
+sections; closed forms are recorded alongside, and the independent checker
+evaluates them to recompute every edge scalar.
 
 Move catalogue (case labels):
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .ring import parse_ratfunc
+from .ring import RatFunc, parse_ratfunc
 from .weyl import PowerSection, express_as_multiple
 # unused here, but perfbench/tests/test_harness.py checks that the benchmark's
 # patcher rewrites this binding too
@@ -151,17 +152,6 @@ def module_dimension(lam: tuple[int, int]) -> int:
 # -- engine computation of the case scalars ----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _canonical_section_at(lam: tuple[int, int]) -> PowerSection:
-    return P.canonical_section().substitute_params(
-        {"lam1": lam[0], "lam2": lam[1]})
-
-
-def _sigma_at(lam: tuple[int, int], m1: int, m2: int) -> PowerSection:
-    return P.monomial_section(m1, m2).substitute_params(
-        {"lam1": lam[0], "lam2": lam[1]})
-
-
 def apply_move(case: str, s: PowerSection, f: PowerSection, nu) -> PowerSection:
     """The case move applied to a section of weight nu (ints or Affine), with
     f the trivialising section of the same weight parameters."""
@@ -174,6 +164,20 @@ def apply_move(case: str, s: PowerSection, f: PowerSection, nu) -> PowerSection:
         chi = P.central_character(nu[0] + d1, nu[1] + d2)
         out = P.casimir_apply(out) + out.scale(-chi)
     return out
+
+
+def move_scalar(case: str, m, lam=None) -> RatFunc:
+    """The scalar by which the case move sends sigma_m to sigma_(m + step).
+
+    m and the weight lam are pairs of ints or Affine, lam symbolic by
+    default; the move is applied as an algebraic identity, with no
+    certificate-level precondition.
+    """
+    dm1, dm2 = MOVES[case].step
+    out = apply_move(case, P.monomial_section(*m, lam),
+                     P.monomial_section(0, 0, lam), P.weight_exponents(*m, lam))
+    return express_as_multiple(
+        out, P.monomial_section(m[0] + dm1, m[1] + dm2, lam))
 
 
 class CaseUnavailable(ValueError):
@@ -191,15 +195,11 @@ def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str,
     if case not in MOVES:
         raise ValueError(f"unknown case {case!r}")
     dm1, dm2 = MOVES[case].step
-    t1, t2 = p.m1 + dm1, p.m2 + dm2
-    if check_preconditions and (t1 < 0 or t2 < 0):
+    if check_preconditions and (p.m1 + dm1 < 0 or p.m2 + dm2 < 0):
         raise CaseUnavailable(f"case {case} needs m >= 1 at {p.m}")
     if case == "4" and (p.nu1, p.nu2) != (1, 1):
         raise CaseUnavailable("case 4 moves only the nu = (1,1) point")
-    out = apply_move(case, _sigma_at(lam, p.m1, p.m2),
-                     _canonical_section_at(lam), (p.nu1, p.nu2))
-    target = _sigma_at(lam, t1, t2)
-    return express_as_multiple(out, target).constant_value()
+    return move_scalar(case, p.m, lam).constant_value()
 
 
 # The engine-derived closed forms of the case scalars, over (m1, m2, nu1, nu2);
@@ -333,7 +333,8 @@ def certify(lam: tuple[int, int]) -> Certificate:
 
 
 def validate_certificate(cert: Certificate) -> list[str]:
-    """Re-verify a certificate with plain loops; returns a list of problems."""
+    """Re-verify a certificate with plain loops, recomputing each edge scalar
+    from its closed form; returns a list of problems."""
     problems = []
     l1, l2 = cert.lam
     # independent support enumeration
@@ -370,6 +371,15 @@ def validate_certificate(cert: Certificate) -> list[str]:
         dm1, dm2 = MOVES[e.case].step
         if (e.source[0] + dm1, e.source[1] + dm2) != e.target:
             problems.append(f"edge target inconsistent with case: {e}")
+        if e.closed_form != CLOSED_FORMS[e.case]:
+            problems.append(f"closed form of case {e.case} misprinted on {e}")
+        point = SupportPoint(*e.source, *weight_at(cert.lam, *e.source))
+        if e.case == "4" and (point.nu1, point.nu2) != (1, 1):
+            problems.append(f"case 4 edge away from nu = (1,1): {e}")
+        want = closed_form_value(e.case, point)
+        if e.scalar != want:
+            problems.append(f"scalar of {e} differs from the closed form "
+                            f"value {want}")
     if cert.status == "irreducible":
         for pt in sorted(expected):
             trip = cert.paths.get(pt, {})

@@ -41,7 +41,6 @@ class CheckResult:
 
 @dataclass
 class CheckConfig:
-    param_mode: str = "symbolic"
     grid: int = 4
     nilpotency_limit: int = 12
     seed: int = 0
@@ -587,24 +586,25 @@ def check_casimir_lemma_operator(cfg):
 
 def _sym_case_scalar(case):
     """Symbolic engine scalar of a case move (parameters lam, m kept free)."""
-    dm1, dm2 = CERT.MOVES[case].step
-    out = CERT.apply_move(case, P.monomial_section(), P.canonical_section(),
-                          _sym_nu())
-    return express_as_multiple(
-        out, P.monomial_section(P.sym_m1() + dm1, P.sym_m2() + dm2))
+    return CERT.move_scalar(case, (P.sym_m1(), P.sym_m2()))
+
+
+def _closed_form(case):
+    """The closed form certificates print for the case, with nu1, nu2 written
+    in (lam, m)."""
+    return _sub_nu(REF.rf_matrix(CERT.CLOSED_FORMS[case]))
 
 
 def check_case1_symbolic(cfg):
     got = _sym_case_scalar("1")
-    if got != _sub_nu(REF.rf_matrix(REF.CASE1_SCALAR)):
+    if got != _closed_form("1"):
         return "fail", f"engine scalar {got.to_text()}"
     return "pass", "descent scalar = m1*m2 symbolically"
 
 
 def check_case2b_engine_form(cfg):
     got = _sym_case_scalar("2b")
-    engine_form = _sub_nu(REF.rf_matrix(REF.CASE2B_SCALAR_ENGINE))
-    if got != engine_form:
+    if got != _closed_form("2b"):
         return "fail", f"engine scalar {got.to_text()} != recorded closed form"
     return "pass", ("scalar = -(m2/3) nu1 (m1 + nu1 + 1) symbolically "
                     "(engine-verified closed form)")
@@ -626,15 +626,14 @@ def check_case2b_displayed_form(cfg):
 
 def check_case2a_engine_form(cfg):
     got = _sym_case_scalar("2a")
-    engine_form = _sub_nu(REF.rf_matrix(REF.CASE2A_SCALAR_ENGINE))
-    if got != engine_form:
+    if got != _closed_form("2a"):
         return "fail", f"engine scalar {got.to_text()} != recorded closed form"
     return "pass", ("scalar = -(m1/3) nu2 (m2 + nu2 + 1) symbolically "
                     "(engine-derived, the display only says 'likewise')")
 
 
 def check_case2b_interpolation(cfg):
-    # sampled-mode recovery: interpolate the scalar from grid evaluations
+    # recover the scalar by interpolating its values on a grid
     degrees = {"lam1": 1, "lam2": 3, "m1": 3, "m2": 4}
     names = tuple(degrees)
     values = {}
@@ -715,37 +714,13 @@ def check_case3b_grid(cfg):
 
 
 def check_case4_scalar(cfg):
-    if cfg.param_mode == "symbolic":
-        lam1 = Affine(1) + P.sym_m2().scale(2) - P.sym_m1()
-        lam2 = Affine(1) + P.sym_m1().scale(2) - P.sym_m2()
-        one = RatFunc.const(P.MATRIX_TABLE, 1)
-        f_lam = PowerSection(P.MATRIX, one, [(P.gvar(3, 3), lam1),
-                                             (P.minor(1, 1), lam2)])
-
-        def sect(dm1, dm2):
-            m1 = P.sym_m1() + dm1
-            m2 = P.sym_m2() + dm2
-            n1 = lam2 - m1.scale(2) + m2
-            n2 = lam1 + m1 - m2.scale(2)
-            return PowerSection(P.MATRIX, one, [
-                (P.gvar(3, 3), n2), (P.minor(1, 1), n1), (P.det_g(), m1)])
-
-        out = CERT.apply_move("4", sect(0, 0), f_lam, (1, 1))
-        got = express_as_multiple(out, sect(1, 1))
-        if got != REF.rf_matrix(REF.CASE4_SCALAR):
-            return "fail", f"engine scalar {got.to_text()}"
-        return "pass", "-(2/3)(m1+4)(m2+4) with symbolic m1, m2"
-    checked = 0
-    for m1, m2 in itertools.product(range(cfg.grid + 1), repeat=2):
-        lam = (1 - m1 + 2 * m2, 1 + 2 * m1 - m2)
-        p = CERT.SupportPoint(m1, m2, 1, 1)
-        got = CERT.case_scalar(lam, p, "4")
-        if got != CERT.closed_form_value("4", p):
-            return "fail", f"mismatch at m=({m1},{m2})"
-        checked += 1
-    if not checked:
-        return "fail", "no grid point was checked; the check is vacuous"
-    return "pass", f"-(2/3)(m1+4)(m2+4) on {checked} sampled m-pairs"
+    m1, m2 = P.sym_m1(), P.sym_m2()
+    # the weights whose support point m has nu = (1, 1)
+    lam = (Affine(1) + m2.scale(2) - m1, Affine(1) + m1.scale(2) - m2)
+    got = CERT.move_scalar("4", (m1, m2), lam)
+    if got != _closed_form("4"):
+        return "fail", f"engine scalar {got.to_text()}"
+    return "pass", "-(2/3)(m1+4)(m2+4) with symbolic m1, m2"
 
 
 def check_case_signs(cfg):

@@ -50,8 +50,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = CK.CheckConfig(param_mode=args.param_mode, grid=args.grid,
-                         nilpotency_limit=args.nilpotency_limit,
+    cfg = CK.CheckConfig(grid=args.grid, nilpotency_limit=args.nilpotency_limit,
                          seed=args.seed)
     results = CK.run_suite(args.suite, cfg, jobs=args.jobs)
     print(CK.transcript(results))
@@ -147,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a registered identity suite")
     ver.add_argument("suite", choices=["all"] + CK.suite_names())
-    ver.add_argument("--param-mode", choices=("symbolic", "sampled"),
-                     default="symbolic")
     ver.add_argument("--grid", type=_int_at_least(0), default=4,
                      help="sampling range for grid checks (default 4)")
     ver.add_argument("--nilpotency-limit", type=_int_at_least(1), default=12)

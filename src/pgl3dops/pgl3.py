@@ -28,7 +28,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .ring import Poly, RatFunc, VarTable
 from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
@@ -54,12 +53,6 @@ def gvar(i: int, j: int) -> Poly:
     return MATRIX_TABLE.var(f"g{i}{j}")
 
 
-def _det3(m) -> Poly:
-    return (m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0]
-            + m[0][2] * m[1][0] * m[2][1] - m[0][2] * m[1][1] * m[2][0]
-            - m[0][0] * m[1][2] * m[2][1] - m[0][1] * m[1][0] * m[2][2])
-
-
 G_MAT = [[gvar(i + 1, j + 1) for j in range(3)] for i in range(3)]
 
 
@@ -74,34 +67,21 @@ def minor(i: int, j: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def det_g() -> Poly:
-    return _det3(G_MAT)
+    m = G_MAT
+    return (m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0]
+            + m[0][2] * m[1][0] * m[2][1] - m[0][2] * m[1][1] * m[2][0]
+            - m[0][0] * m[1][2] * m[2][1] - m[0][1] * m[1][0] * m[2][2])
 
 
 BMINUSB = Chart("bminusb", MATRIX_TABLE, units=(gvar(1, 1), minor(3, 3)))
 
 
-# -- ratio-chart copies of the minors (g33 normalised to 1) ------------------------
+# -- ratio-chart entries (g33 normalised to 1) -------------------------------------
 
 def xvar(i: int, j: int) -> Poly:
     if (i, j) == (3, 3):
         return RATIO_TABLE.one()
     return RATIO_TABLE.var(f"x{i}{j}")
-
-
-X_MAT = [[xvar(i + 1, j + 1) for j in range(3)] for i in range(3)]
-
-
-@lru_cache(maxsize=None)
-def minor_x(i: int, j: int) -> Poly:
-    rows = [r for r in range(3) if r != i - 1]
-    cols = [c for c in range(3) if c != j - 1]
-    return (X_MAT[rows[0]][cols[0]] * X_MAT[rows[1]][cols[1]]
-            - X_MAT[rows[0]][cols[1]] * X_MAT[rows[1]][cols[0]])
-
-
-@lru_cache(maxsize=None)
-def det_x() -> Poly:
-    return _det3(X_MAT)
 
 
 # -- Lie algebra generators and Weyl representatives ---------------------------------
@@ -287,17 +267,7 @@ def matrix_ratios_in_big_cell() -> dict[str, Poly]:
 @lru_cache(maxsize=None)
 def big_cell_in_ratio() -> dict[str, RatFunc]:
     """Forward formulas restricted to the ratio chart (g33 = 1)."""
-    d11 = RatFunc.from_poly(minor_x(1, 1))
-    return {
-        "a1": RatFunc.from_poly(det_x()) / (d11 * d11),
-        "a2": d11,
-        "U12": RatFunc.from_poly(minor_x(2, 1)) / d11,
-        "U21": RatFunc.from_poly(minor_x(1, 2)) / d11,
-        "U13": RatFunc.from_poly(xvar(1, 3)),
-        "U31": RatFunc.from_poly(xvar(3, 1)),
-        "U23": RatFunc.from_poly(xvar(2, 3)),
-        "U32": RatFunc.from_poly(xvar(3, 2)),
-    }
+    return {name: slice_to_ratio(f) for name, f in big_cell_in_matrix().items()}
 
 
 @lru_cache(maxsize=None)
@@ -439,31 +409,33 @@ def sym_m2() -> Affine:
     return Affine.param("m2")
 
 
-@lru_cache(maxsize=None)
-def canonical_section() -> PowerSection:
-    """The eigensection trivialising the bundle on the big cell: g33^lam1 Delta11^lam2."""
-    one = RatFunc.const(MATRIX_TABLE, 1)
-    return PowerSection(MATRIX, one, [(gvar(3, 3), lam1()), (minor(1, 1), lam2())])
-
-
-def weight_exponents(m1, m2) -> tuple[Affine, Affine]:
-    """(nu1, nu2) = (lam2 - 2 m1 + m2, lam1 + m1 - 2 m2)."""
+def weight_exponents(m1, m2, lam=None) -> tuple[Affine, Affine]:
+    """(nu1, nu2) = (lam2 - 2 m1 + m2, lam1 + m1 - 2 m2); the weight lam is a
+    pair of ints or Affine, symbolic (lam1, lam2) by default."""
+    l1, l2 = (lam1(), lam2()) if lam is None else map(_affine, lam)
     m1, m2 = _affine(m1), _affine(m2)
-    return lam2() - m1.scale(2) + m2, lam1() + m1 - m2.scale(2)
+    return l2 - m1.scale(2) + m2, l1 + m1 - m2.scale(2)
 
 
-def monomial_section(m1=None, m2=None) -> PowerSection:
+def monomial_section(m1=None, m2=None, lam=None) -> PowerSection:
     """sigma = a1^m1 a2^m2 times the canonical section, in matrix coordinates.
 
-    With symbolic (default) or concrete m1, m2; the matrix-chart power
-    product is g33^nu2 * Delta11^nu1 * Delta^m1.
+    With symbolic (default) or concrete m1, m2 and weight lam (as in
+    ``weight_exponents``); the matrix-chart power product is
+    g33^nu2 * Delta11^nu1 * Delta^m1.
     """
     m1 = sym_m1() if m1 is None else _affine(m1)
     m2 = sym_m2() if m2 is None else _affine(m2)
-    nu1, nu2 = weight_exponents(m1, m2)
+    nu1, nu2 = weight_exponents(m1, m2, lam)
     one = RatFunc.const(MATRIX_TABLE, 1)
     return PowerSection(MATRIX, one, [
         (gvar(3, 3), nu2), (minor(1, 1), nu1), (det_g(), m1)])
+
+
+@lru_cache(maxsize=None)
+def canonical_section() -> PowerSection:
+    """The eigensection trivialising the bundle on the big cell: g33^lam1 Delta11^lam2."""
+    return monomial_section(0, 0)
 
 
 def monomial_section_big(m1=None, m2=None) -> PowerSection:
@@ -496,19 +468,22 @@ def apply_descent(s: PowerSection, trivialization: PowerSection | None = None
 # -- twisted operators (coefficient side, big-cell trivialisation) ----------------------
 
 
+def _log_derivative(field: DiffOp) -> RatFunc:
+    """Logarithmic derivative of the canonical section along a field."""
+    f = canonical_section()
+    return op_apply_section(field, f).ratio_to(f)
+
+
 def twisted_field_of_matrix(xi, factor: str = "left") -> DiffOp:
     """Coefficient-side twisted field of an arbitrary sl3 matrix."""
     field = field_of_matrix(xi, factor)
-    f = canonical_section()
-    corr = op_apply_section(field, f).ratio_to(f)
-    return field + DiffOp.multiplication(MATRIX, corr)
+    return field + DiffOp.multiplication(MATRIX, _log_derivative(field))
 
 
 @lru_cache(maxsize=None)
 def twist_correction_matrix(gen: Generator) -> RatFunc:
     """Logarithmic derivative of the canonical section along the generator."""
-    f = canonical_section()
-    return op_apply_section(action_field_matrix(gen), f).ratio_to(f)
+    return _log_derivative(action_field_matrix(gen))
 
 
 @lru_cache(maxsize=None)
@@ -571,18 +546,6 @@ def central_character(mu1, mu2, table: VarTable = MATRIX_TABLE) -> RatFunc:
     p2 = _affine(mu2).as_ratfunc(table)
     return (p1 + p2).scale(Fraction(1, 3)) + \
         (p1 * p1 + p1 * p2 + p2 * p2).scale(Fraction(1, 9))
-
-
-def shift_weight(mu: tuple, steps: Mapping[str, int]) -> tuple:
-    """Shift a weight (pair of Affine/int) by multiples of alpha1, alpha2, rho."""
-    mu1, mu2 = _affine(mu[0]), _affine(mu[1])
-    a1 = steps.get("alpha1", 0)
-    a2 = steps.get("alpha2", 0)
-    r = steps.get("rho", 0)
-    # alpha1 = (2, -1), alpha2 = (-1, 2), rho = (1, 1) in the omega basis
-    mu1 = mu1 + Affine(2 * a1 - a2 + r)
-    mu2 = mu2 + Affine(-a1 + 2 * a2 + r)
-    return (mu1, mu2)
 
 
 # -- Weyl twists ------------------------------------------------------------------------------

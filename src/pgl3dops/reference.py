@@ -109,10 +109,9 @@ TWIST_CORRECTIONS = {
 
 CASE1_SCALAR = "m1*m2"
 CASE2B_SCALAR_DISPLAYED = "-(m2/3)*((m1 + nu1)*(nu1 + 1) + nu1)"
-# engine-verified corrected forms (the display's middle factor (nu1+1)
-# should read nu1; the mirrored 2a variant is only cited as "likewise")
+# engine-verified corrected form (the display's middle factor (nu1+1) should
+# read nu1; the mirrored 2a variant is only cited as "likewise")
 CASE2B_SCALAR_ENGINE = "-(m2/3)*nu1*(m1 + nu1 + 1)"
-CASE2A_SCALAR_ENGINE = "-(m1/3)*nu2*(m2 + nu2 + 1)"
 CASE3A_SCALAR_DISPLAYED = (
     "-(2/243)*(nu2+3)*(nu1+m1+1)*(nu1+nu2+1)*(nu1+nu2+m2+2)"
     "*(2*nu1+nu2+3)*nu1*(nu1-1)")

@@ -52,18 +52,14 @@ class Chart:
 
     __slots__ = ("name", "table", "coords", "units")
 
-    def __init__(self, name: str, table: VarTable,
-                 coords: Iterable[str] | None = None,
-                 units: Iterable[Poly] = ()):
+    def __init__(self, name: str, table: VarTable, units: Iterable[Poly] = ()):
         self.name = name
         self.table = table
-        self.coords = tuple(coords) if coords is not None else table.coords
+        self.coords = table.coords
         self.units = tuple(units)
         for u in self.units:
             if u.is_zero():
                 raise ValueError("unit-set entries must be nonzero")
-        if len(set(self.coords)) != len(self.coords):
-            raise ValueError("chart coordinates must be distinct")
 
     def __repr__(self) -> str:
         return f"Chart({self.name!r})"
@@ -508,11 +504,14 @@ class Affine:
                 out[name] = c
         return Affine(const, out)
 
-    def as_ratfunc(self, table: VarTable) -> RatFunc:
+    def as_poly(self, table: VarTable) -> Poly:
         total = table.const(self.const)
         for name, c in self.coeffs.items():
             total = total + table.var(name).scale(c)
-        return RatFunc.from_poly(total)
+        return total
+
+    def as_ratfunc(self, table: VarTable) -> RatFunc:
+        return RatFunc.from_poly(self.as_poly(table))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -760,7 +759,7 @@ class PowerSection:
             total = total * b
         # total = num' * prod(live bases); add num * e_i * db_i * prod(other live)
         for i, b, e, db in live:
-            term = self.num * _affine_poly(e, table) * db
+            term = self.num * e.as_poly(table) * db
             for j, bj, ej, dbj in live:
                 if j != i:
                     term = term * bj
@@ -847,13 +846,6 @@ class PowerSection:
 
     def __repr__(self) -> str:
         return f"PowerSection[{self.chart.name}]({self.to_text()})"
-
-
-def _affine_poly(e: Affine, table: VarTable) -> Poly:
-    out = table.const(e.const)
-    for name, c in e.coeffs.items():
-        out = out + table.var(name).scale(c)
-    return out
 
 
 def op_apply_section(A: DiffOp, s: PowerSection) -> PowerSection:

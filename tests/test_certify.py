@@ -135,6 +135,26 @@ def test_checker_rejects_corruption():
                          cert.basepoint, cert.paths, cert.status)
     problems = C.validate_certificate(bad3)
     assert any("unknown case label" in p for p in problems)
+    # a wrong nonzero scalar and a misprinted closed form are reported
+    first = cert.edges[0]
+    assert first.scalar == Fraction(-2560, 81)
+    for corrupt in (C.CaseEdge(first.source, first.target, first.case,
+                               Fraction(7), first.closed_form),
+                    C.CaseEdge(first.source, first.target, first.case,
+                               first.scalar, first.closed_form + " + 1")):
+        bad5 = C.Certificate(cert.lam, cert.support,
+                             [corrupt] + cert.edges[1:], cert.basepoint,
+                             cert.paths, cert.status)
+        assert C.validate_certificate(bad5), corrupt
+    # a case-4 edge from a point whose weight is not (1,1) carries its closed
+    # form value, but the move has no scalar there
+    p = next(p for p in cert.support if p.m == (0, 0))
+    assert (p.nu1, p.nu2) != (1, 1)
+    forged = C.CaseEdge((0, 0), (1, 1), "4", C.closed_form_value("4", p),
+                        C.CLOSED_FORMS["4"])
+    bad6 = C.Certificate(cert.lam, cert.support, cert.edges + [forged],
+                         cert.basepoint, cert.paths, cert.status)
+    assert any("case 4" in msg for msg in C.validate_certificate(bad6))
     # corrupt paths are reported, not raised: an edge index past the end, a
     # missing leg, a negative index naming the right edge from the end, and
     # a support point whose paths were dropped

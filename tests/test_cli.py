@@ -135,7 +135,8 @@ def test_usage_error_exit_two():
                  ["verify", "cases", "--jobs", "0"],
                  ["verify", "cases", "--grid", "-1", "--jobs", "0"],
                  ["verify", "d0", "--nilpotency-limit", "0"],
-                 ["verify", "cases", "--grid", "two"]):
+                 ["verify", "cases", "--grid", "two"],
+                 ["verify", "cases", "--param-mode", "sampled"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -143,12 +144,10 @@ def test_usage_error_exit_two():
 
 def test_vacuous_grid_checks_fail():
     # a grid check that examined no point must not report a pass
-    for check_id, mode, grid in (("cases.case2.grid", "symbolic", -1),
-                                 ("cases.case3a.grid", "symbolic", 0),
-                                 ("cases.case3b.grid", "symbolic", 0),
-                                 ("cases.case4.scalar", "sampled", -1)):
-        cfg = CK.CheckConfig(param_mode=mode, grid=grid)
-        res = CK.run_check(check_id, cfg)
+    for check_id, grid in (("cases.case2.grid", -1),
+                           ("cases.case3a.grid", 0),
+                           ("cases.case3b.grid", 0)):
+        res = CK.run_check(check_id, CK.CheckConfig(grid=grid))
         assert res.status == "fail", (check_id, res.details)
         assert "vacuous" in res.details
 

@@ -253,9 +253,21 @@ def test_twisted_cross_factor_brackets_vanish():
 def test_weight_helpers():
     # nu = lam* - m1 alpha1 - m2 alpha2 in the omega basis
     nu1, nu2 = P.weight_exponents(P.sym_m1(), P.sym_m2())
-    s = P.shift_weight((nu1, nu2), {"alpha1": 1, "alpha2": 1})
-    r = P.shift_weight((nu1, nu2), {"rho": 1})
-    assert s == r  # alpha1 + alpha2 = rho on the weight lattice
+    assert (nu1, nu2) == P.weight_exponents(P.sym_m1(), P.sym_m2(),
+                                            (P.lam1(), P.lam2()))
+    at = {"lam1": 3, "lam2": 1, "m1": 2, "m2": 1}
+    assert P.weight_exponents(2, 1, (3, 1)) == (nu1.evaluate(at),
+                                                nu2.evaluate(at))
+
+
+def test_monomial_section_at_a_weight():
+    # building at a concrete weight is the symbolic section specialised
+    for lam in ((0, 0), (3, 1), (8, 1), (2, 5)):
+        values = {"lam1": lam[0], "lam2": lam[1]}
+        for m in ((0, 0), (1, 2), (3, 1)):
+            direct = P.monomial_section(*m, lam)
+            specialised = P.monomial_section(*m).substitute_params(values)
+            assert direct.to_text() == specialised.to_text(), (lam, m)
 
 
 def test_partial_alpha_regularity_depends_on_units():

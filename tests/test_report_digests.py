@@ -1,0 +1,48 @@
+"""Report bytes: the JSON reports hash to the digests the benchmark records.
+
+``perfbench/expected.json`` holds the sha256 of every report the benchmark
+writes; it is only read here.  The reports covered are ``verify <suite>`` for
+each symbolic suite, ``verify cases --grid N`` and ``certify`` for the four
+recorded weights with the fewest edges, so a change that alters a printed
+byte of any of them fails tier-1 and not only the benchmark.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from pgl3dops import cli
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json")
+    .read_text())
+
+
+def _reports():
+    out = [(f"verify {suite}", ["verify", suite], digest)
+           for suite, digest in sorted(EXPECTED["verify_symbolic"].items())]
+    for key, digest in sorted(EXPECTED["verify_grids"].items()):
+        grid = key.removeprefix("grid=")
+        out.append((f"verify cases --grid {grid}",
+                    ["verify", "cases", "--grid", grid], digest))
+    fewest = sorted(EXPECTED["certify"].items(),
+                    key=lambda kv: (kv[1]["edges"], kv[0]))[:4]
+    for key, rec in fewest:
+        l1, l2 = key.split(",")
+        out.append((f"certify {l1} {l2}", ["certify", "--lambda", l1, l2],
+                    rec["sha256"]))
+    return out
+
+
+@pytest.mark.parametrize("argv, digest",
+                         [pytest.param(argv, digest, id=label)
+                          for label, argv, digest in _reports()])
+def test_report_digest(tmp_path, argv, digest):
+    path = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv + ["--json", str(path)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
