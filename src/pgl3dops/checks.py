@@ -42,11 +42,11 @@ class CheckResult:
 @dataclass
 class CheckConfig:
     grid: int = 4
-    nilpotency_limit: int = 12
     seed: int = 0
 
 
 SCHEMA_VERSION = "1"
+NILPOTENCY_LIMIT = 12       # ad-nilpotency depth searched before a check fails
 
 
 # -- small helpers ----------------------------------------------------------------------
@@ -346,10 +346,10 @@ def check_d0_nilpotency(cfg):
     for label in P.NILPOTENT_LABELS:
         for factor in ("left", "right"):
             V = P.action_field_matrix(P.Generator(label, factor))
-            d = ad_nilpotency_depth(d0, V, cfg.nilpotency_limit)
+            d = ad_nilpotency_depth(d0, V, NILPOTENCY_LIMIT)
             if d is None:
                 return "fail", (f"ad({label}-{factor}) not nilpotent within "
-                                f"limit {cfg.nilpotency_limit}")
+                                f"limit {NILPOTENCY_LIMIT}")
             depths[f"{label}-{factor}"] = d
     worst = max(depths.values())
     return "pass", f"finite for all 12 nilpotent fields, max depth {worst}"
@@ -394,7 +394,7 @@ def check_twist_nilpotency(cfg):
     for label in P.NILPOTENT_LABELS:
         for factor in ("left", "right"):
             V = P.twisted_field_matrix(P.Generator(label, factor))
-            if ad_nilpotency_depth(d0, V, cfg.nilpotency_limit) is None:
+            if ad_nilpotency_depth(d0, V, NILPOTENCY_LIMIT) is None:
                 return "fail", f"twisted ad({label}-{factor}) exceeded the limit"
     return "pass", "twisted operator is ad-nilpotent under all twisted fields"
 
@@ -463,8 +463,8 @@ def check_twist_operator_identity(cfg):
                 mono = mono * P.MATRIX_TABLE.var(name) ** e
             f = RatFunc.from_poly(mono)
             lhs = op_apply(tw, f)
-            sub_in = P._conjugation_formulas(P.mat_inv(w.matrix), P.mat_inv(w.matrix))
-            sub_out = P._conjugation_formulas(w.matrix, w.matrix)
+            sub_in = P._conjugation_formulas(w.inverse())
+            sub_out = P._conjugation_formulas(w)
             rhs = op_apply(d0, f.substitute(sub_in)).substitute(sub_out)
             if lhs != rhs:
                 return "fail", f"twist by {w.label} fails the defining identity"
@@ -805,7 +805,7 @@ def check_conics_monomial_action(cfg):
 
 
 def check_conics_nilpotency(cfg):
-    depths = CON.cone_nilpotency_depths(cfg.nilpotency_limit)
+    depths = CON.cone_nilpotency_depths(NILPOTENCY_LIMIT)
     missing = [k for k, v in depths.items() if v is None]
     if missing:
         return "fail", f"limit exhausted for {missing}"

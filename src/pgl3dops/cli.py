@@ -50,8 +50,7 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    cfg = CK.CheckConfig(grid=args.grid, nilpotency_limit=args.nilpotency_limit,
-                         seed=args.seed)
+    cfg = CK.CheckConfig(grid=args.grid, seed=args.seed)
     results = CK.run_suite(args.suite, cfg, jobs=args.jobs)
     print(CK.transcript(results))
     _write_json(args.json, CK.report_json(checks=results))
@@ -148,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=["all"] + CK.suite_names())
     ver.add_argument("--grid", type=_int_at_least(0), default=4,
                      help="sampling range for grid checks (default 4)")
-    ver.add_argument("--nilpotency-limit", type=_int_at_least(1), default=12)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--jobs", type=_int_at_least(1), default=1,
                      help="worker processes for independent checks")

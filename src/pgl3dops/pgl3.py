@@ -131,38 +131,19 @@ def mat_bracket(a, b):
     return tuple(tuple(ab[i][j] - ba[i][j] for j in range(3)) for i in range(3))
 
 
-def mat_inv(a):
-    """Exact inverse of a 3x3 rational matrix (adjugate over determinant)."""
-    det = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-           - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-           + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    if det == 0:
-        raise ZeroDivisionError("singular matrix")
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != i]
-            cols = [c for c in range(3) if c != j]
-            m = (a[rows[0]][cols[0]] * a[rows[1]][cols[1]]
-                 - a[rows[0]][cols[1]] * a[rows[1]][cols[0]])
-            cof[i][j] = (-1) ** (i + j) * m
-    return tuple(tuple(Fraction(cof[j][i], 1) / det for j in range(3))
-                 for i in range(3))
-
-
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl-group representative as a concrete 3x3 matrix."""
+    """A Weyl-group representative as a concrete 3x3 matrix.
+
+    Every representative is a signed permutation matrix, so its inverse is
+    its transpose.
+    """
 
     label: str
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(f"{self.label}^-1", mat_inv(self.matrix))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.label + other.label,
-                           mat_mul(self.matrix, other.matrix))
+        return WeylElement(f"{self.label}^-1", tuple(zip(*self.matrix)))
 
 
 def _fr(rows):
@@ -551,38 +532,36 @@ def central_character(mu1, mu2, table: VarTable = MATRIX_TABLE) -> RatFunc:
 # -- Weyl twists ------------------------------------------------------------------------------
 
 
-def _conjugation_formulas(w, wp) -> dict[str, RatFunc]:
-    """g_ij as entries of w^{-1} g wp (a linear polynomial substitution)."""
-    winv = mat_inv(w)
+def _conjugation_formulas(w: WeylElement) -> dict[str, RatFunc]:
+    """g_ij as entries of w^{-1} g w (a linear polynomial substitution)."""
+    winv, wm = w.inverse().matrix, w.matrix
     out = {}
     for i in range(3):
         for j in range(3):
             p = MATRIX_TABLE.zero()
             for k in range(3):
                 for l in range(3):
-                    c = winv[i][k] * wp[l][j]
+                    c = winv[i][k] * wm[l][j]
                     if c:
                         p = p + gvar(k + 1, l + 1).scale(c)
             out[f"g{i + 1}{j + 1}"] = RatFunc.from_poly(p)
     return out
 
 
-def weyl_substitution(w: WeylElement, wp: WeylElement | None = None) -> ChartMap:
-    """The linear chart map induced by g -> w^{-1} g w' on the matrix chart."""
-    wp = wp if wp is not None else w
-    return ChartMap(MATRIX, MATRIX,
-                    _conjugation_formulas(w.matrix, wp.matrix),
-                    _conjugation_formulas(mat_inv(w.matrix), mat_inv(wp.matrix)))
+def weyl_substitution(w: WeylElement) -> ChartMap:
+    """The linear chart map induced by g -> w^{-1} g w on the matrix chart."""
+    return ChartMap(MATRIX, MATRIX, _conjugation_formulas(w),
+                    _conjugation_formulas(w.inverse()))
 
 
 def twist_operator(D: DiffOp, w: WeylElement) -> DiffOp:
     """Diagonal Weyl twist of an operator: transport along g -> w^{-1} g w."""
-    return transport(D, weyl_substitution(w, w))
+    return transport(D, weyl_substitution(w))
 
 
 def twist_section(s: PowerSection, w: WeylElement) -> PowerSection:
     """Diagonal Weyl twist of a section (substitute g -> w^{-1} g w everywhere)."""
-    return s.substitute_coords(_conjugation_formulas(w.matrix, w.matrix), MATRIX)
+    return s.substitute_coords(_conjugation_formulas(w), MATRIX)
 
 
 def apply_twisted_descent(s: PowerSection, w: WeylElement,

@@ -8,8 +8,9 @@ differentiated; they enter coefficients and symbolic exponents only).
 
 Fractions of polynomials (``RatFunc``) are not reduced by multivariate
 gcd.  They are normalised by rational content and by common monomial
-factors, plus an opportunistic exact-division reduction; equality is
-decided by cross multiplication, which is independent of normalisation.
+factors, and a denominator that divides the numerator exactly is divided
+out; no step budget decides the normal form.  Equality is decided by cross
+multiplication, which is independent of normalisation.
 
 All values are immutable after construction and all operations are pure,
 so everything here is safe to share between threads.
@@ -287,13 +288,6 @@ class Poly:
                 out[nkey] = _num(s)
         return Poly._raw(self.table, out)
 
-    def degree(self) -> int:
-        """Total degree in the coordinates only (-1 for the zero polynomial)."""
-        ncoord = len(self.table.coords)
-        if not self.terms:
-            return -1
-        return max(sum(self.table.decode(k)[:ncoord]) for k in self.terms)
-
     def variables(self) -> set[str]:
         used: set[str] = set()
         names = self.table.names
@@ -372,6 +366,14 @@ class Poly:
             den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
         return Fraction(num_gcd, den_lcm)
 
+    def primitive(self) -> tuple["Poly", Fraction]:
+        """(self / c, c) with self / c integer-primitive and its leading
+        coefficient positive; self must be nonzero."""
+        c = self.content()
+        if self.leading()[1] < 0:
+            c = -c
+        return (self if c == 1 else self.scale(1 / c)), c
+
     def leading(self) -> tuple[int, Number]:
         """Leading term in descending lexicographic order on exponents."""
         key = max(self.terms)
@@ -397,11 +399,10 @@ class Poly:
         return Poly._raw(self.table,
                          {key - floor: c for key, c in self.terms.items()})
 
-    def divide_exact(self, divisor: "Poly", step_limit: int | None = None) -> "Poly | None":
+    def divide_exact(self, divisor: "Poly") -> "Poly | None":
         """Exact quotient self/divisor, or None if it does not divide.
 
-        Long division in descending lex order; if ``step_limit`` is given the
-        attempt is abandoned (returning None) after that many reduction steps.
+        Long division in descending lex order, run to completion.
         """
         _check_table(self, divisor)
         if divisor.is_zero():
@@ -414,11 +415,7 @@ class Poly:
         lkey, lc = divisor.leading()
         rem = dict(self.terms)
         out: dict = {}
-        steps = 0
         while rem:
-            steps += 1
-            if step_limit is not None and steps > step_limit:
-                return None
             key = max(rem)
             if ((key | guard) - lkey) & guard != guard:
                 return None          # some exponent of the divisor is larger
@@ -518,9 +515,6 @@ class RatFunc:
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
     # -- field operations -------------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
@@ -540,17 +534,7 @@ class RatFunc:
         _check_table(self.num, other.num)
         if self.is_zero() or other.is_zero():
             return RatFunc.from_poly(self.table.zero())
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        # cross cancellation: cheap exact-division attempts
-        if not d2.is_one():
-            q = n1.divide_exact(d2, step_limit=_REDUCE_STEPS)
-            if q is not None:
-                n1, d2 = q, d2.table.one()
-        if not d1.is_one():
-            q = n2.divide_exact(d1, step_limit=_REDUCE_STEPS)
-            if q is not None:
-                n2, d1 = q, d1.table.one()
-        return RatFunc(n1 * n2, d1 * d2)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -602,9 +586,6 @@ class RatFunc:
             raise ZeroDenominator("substituted denominator is identically zero")
         return self.num.substitute(mapping) / den
 
-    def variables(self) -> set[str]:
-        return self.num.variables() | self.den.variables()
-
     def coordinates_used(self) -> set[str]:
         return self.num.coordinates_used() | self.den.coordinates_used()
 
@@ -619,16 +600,11 @@ class RatFunc:
         return f"RatFunc({self.to_text()})"
 
 
-# Step cap for opportunistic exact-division reduction (not for the exact
-# divisibility tests used by regularity checks, which must run to completion).
-_REDUCE_STEPS = 512
-
-
 def _normalise(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Content + common-monomial normalisation, plus cheap exact reductions."""
+    """Divide out the rational content and the common monomial, then the
+    denominator itself if it divides the numerator exactly."""
     if num.is_zero():
         return num, den.table.one()
-    # common monomial factor
     table = num.table
     nf = table.decode(num.monomial_floor())
     df = table.decode(den.monomial_floor())
@@ -642,26 +618,12 @@ def _normalise(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             num = num.scale(Fraction(1, 1) / c)
             den = den.table.one()
         return num, den
-    # make the denominator integer-primitive with positive leading coefficient
-    c = den.content()
-    _, lead = den.leading()
-    if lead < 0:
-        c = -c
+    den, c = den.primitive()
     if c != 1:
-        den = den.scale(Fraction(1, 1) / c)
         num = num.scale(Fraction(1, 1) / c)
-    # opportunistic exact reductions
-    q = num.divide_exact(den, step_limit=_REDUCE_STEPS)
+    q = num.divide_exact(den)
     if q is not None:
         return q, den.table.one()
-    q = den.divide_exact(num, step_limit=_REDUCE_STEPS)
-    if q is not None and not num.is_constant():
-        one = num.table.one()
-        c = q.content()
-        _, lead = q.leading()
-        if lead < 0:
-            c = -c
-        return one.scale(Fraction(1, 1) / c), q.scale(Fraction(1, 1) / c)
     return num, den
 
 

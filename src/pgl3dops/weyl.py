@@ -546,17 +546,6 @@ def _base_key(p: Poly):
     return tuple(sorted((exp, _frac(c)) for exp, c in p.terms.items()))
 
 
-def _primitive(base: Poly) -> tuple[Poly, Fraction]:
-    """Scale a polynomial to integer-primitive form with positive leading term."""
-    c = base.content()
-    _, lead = base.leading()
-    if lead < 0:
-        c = -c
-    if c == 1:
-        return base, Fraction(1)
-    return base.scale(Fraction(1, 1) / c), c
-
-
 class PowerSection:
     """num * product of polynomial bases raised to parameter-affine exponents.
 
@@ -608,7 +597,7 @@ class PowerSection:
                     den = q
                     push(b, Affine(-1))
             if not den.is_constant():
-                rem, c = _primitive(den)
+                rem, c = den.primitive()
                 push(rem, Affine(-1))
                 den = den.table.const(c)
         if den is not None:
@@ -704,7 +693,7 @@ class PowerSection:
         if self.num.is_constant():
             num = self.chart.table.const(Fraction(1, 1) / self.num.constant_value())
         else:
-            prim, c = _primitive(self.num)
+            prim, c = self.num.primitive()
             factors.append((prim, Affine(-1)))
             num = self.chart.table.const(Fraction(1, 1) / c)
         return PowerSection(self.chart, num, factors)
@@ -817,7 +806,7 @@ class PowerSection:
         changed = False
         for i, (base, exp) in enumerate(self.factors):
             while len(num.terms) >= len(base.terms):
-                q = num.divide_exact(base, step_limit=4 * len(num.terms) + 16)
+                q = num.divide_exact(base)
                 if q is None:
                     break
                 num = q

@@ -1,11 +1,15 @@
 """Source hygiene: every module-level private name of the package is used,
-and so is every public constant of the reference displays."""
+and so is every function name and every public constant of the reference
+displays."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pgl3dops"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pgl3dops"
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _bound_names(node):
@@ -70,3 +74,28 @@ def unused_reference_constants(src=SRC, tests=TESTS):
 
 def test_every_reference_constant_is_used():
     assert unused_reference_constants() == []
+
+
+def unreferenced_function_names(src=SRC, others=(TESTS, PERFBENCH)):
+    """module.name for each function or method of the package whose name is
+    never loaded, read as an attribute, imported or named by a string of
+    dotted names (the benchmark binds names by string) anywhere in the
+    package, the tests or the benchmark.  Dunder methods are exempt."""
+    defined, refs = [], set()
+    paths = sorted(src.glob("*.py")) + [p for d in others
+                                        for p in sorted(d.rglob("*.py"))]
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        refs |= _references(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"[\w.]+", node.value)):
+                refs.update(node.value.split("."))
+            elif (path.parent == src and isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("__")):
+                defined.append(f"{path.stem}.{node.name}")
+    return sorted(d for d in defined if d.split(".")[1] not in refs)
+
+
+def test_no_unreferenced_function_names():
+    assert unreferenced_function_names() == []

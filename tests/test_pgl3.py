@@ -179,6 +179,9 @@ def test_weyl_element_matrices():
     w0 = P.W_LONG.matrix
     assert w0 == ((0, 0, 1), (0, -1, 0), (1, 0, 0))
     assert P.mat_mul(w0, w0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for w in (P.W_E, P.W_S1, P.W_S2, P.W_S1S2, P.W_S2S1, P.W_LONG):
+        assert P.mat_mul(w.matrix, w.inverse().matrix) == (
+            (1, 0, 0), (0, 1, 0), (0, 0, 1)), w.label
 
 
 def test_twist_by_identity():

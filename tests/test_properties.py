@@ -30,6 +30,7 @@ def test_text_round_trip(n, d):
 @given(polys, nonzero)
 def test_divide_exact_inverts_multiplication(p, q):
     assert (p * q).divide_exact(q) == p
+    assert RatFunc(p * q, q).to_text() == p.to_text()
 
 
 @SETTINGS

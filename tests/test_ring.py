@@ -159,6 +159,18 @@ def test_exact_division():
     assert p.divide_exact(x + TABLE.one()) is None
 
 
+def test_exact_quotient_cancels_at_any_size():
+    # no step budget decides the normal form: the 560-term quotient is found
+    x, y, z, one = (TABLE.var("x"), TABLE.var("y"), TABLE.var("z"),
+                    TABLE.one())
+    p, q = (x + y + z + one) ** 13, x + one
+    assert len(p.terms) == 560
+    for f in (RatFunc(p * q, q),
+              RatFunc.from_poly(p * q) / RatFunc.from_poly(q)):
+        assert f.is_poly()
+        assert f.to_text() == p.to_text()
+
+
 def test_packed_exponent_overflow_raises():
     # exponents are packed 16 bits per variable and must stay below 2^15;
     # each of these used to wrap into the neighbouring variable
