@@ -375,14 +375,14 @@ def check_twist_corrections(cfg):
 
 
 def check_twist_regular_big_cell(cfg):
-    ok, witness = P.descent_regular_on_big_cell()
+    ok, witness = regular_on(P.mixed_second_order_big(), P.BIG)
     if not ok:
         return "fail", f"witness: {witness.to_text()}"
     return "pass", "twisted operator is regular on the big cell"
 
 
 def check_twist_regular_bminusb(cfg):
-    ok, witness = P.descent_regular_on_bminusb()
+    ok, witness = regular_on(P.descent_bminusb_presentation(), P.BMINUSB)
     if not ok:
         return "fail", f"witness: {witness.to_text()}"
     return "pass", ("coefficients lie in k[g][1/g11, 1/Delta33] on the "
@@ -475,7 +475,7 @@ def check_twist_operator_identity(cfg):
 
 
 def check_casimir_centrality(cfg):
-    cas = P.casimir_operator("left")
+    cas = P.casimir_operator()
     for label in P.GENERATOR_LABELS:
         com = commutator(cas, P.twisted_field_matrix(P.Generator(label, "left")))
         if not com.is_zero():
@@ -487,7 +487,7 @@ def check_casimir_routes_agree(cfg):
     # composed-operator route against the iterated section route
     sig = P.monomial_section()
     f = P.canonical_section()
-    via_op = op_apply_section(P.casimir_operator("left"), sig / f) * f
+    via_op = op_apply_section(P.casimir_operator(), sig / f) * f
     via_sections = P.casimir_apply(sig)
     if via_op != via_sections:
         return "fail", "operator route and section route disagree"
@@ -785,7 +785,7 @@ def check_conics_roundtrip(cfg):
 
 
 def check_conics_regular(cfg):
-    ok, witness = CON.mixed_derivative_regular()
+    ok, witness = regular_on(CON.mixed_derivative_entry(), CON.ENTRY)
     if not ok:
         return "fail", f"witness: {witness.to_text()}"
     return "pass", ("d/dx d/dy transported to the entry chart has polynomial "

@@ -27,8 +27,7 @@ from functools import lru_cache
 
 from .ring import Poly, RatFunc, VarTable
 from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
-                   ad_nilpotency_depth, conjugate, op_compose, regular_on,
-                   transport)
+                   ad_nilpotency_depth, conjugate, op_compose, transport)
 from .pgl3 import PARAMS, _GEN_MATRICES, NILPOTENT_LABELS, homogenize, mat_mul
 
 CONIC_NAMES = ("u12", "u13", "u23", "x", "y")
@@ -142,10 +141,6 @@ def mixed_derivative_conic() -> DiffOp:
 def mixed_derivative_entry() -> DiffOp:
     """d/dx d/dy transported to the entry chart (Jacobian inversion)."""
     return transport(mixed_derivative_conic(), map_conic_to_entry())
-
-
-def mixed_derivative_regular() -> tuple[bool, DiffOp | None]:
-    return regular_on(mixed_derivative_entry(), ENTRY)
 
 
 # -- the twelve-entry double cone ---------------------------------------------------------

@@ -32,7 +32,7 @@ from functools import lru_cache
 from .ring import Poly, RatFunc, VarTable
 from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
                    commutator, conjugate, op_apply_section, op_compose,
-                   regular_on, transport)
+                   transport)
 
 PARAMS = ("lam1", "lam2", "m1", "m2", "nu1", "nu2")
 
@@ -490,12 +490,12 @@ def twisted_field_big(gen: Generator) -> DiffOp:
 
 
 @lru_cache(maxsize=None)
-def casimir_operator(factor: str = "left") -> DiffOp:
+def casimir_operator() -> DiffOp:
     """Twisted image of the degree-2 central element, as one composed operator:
 
         (H1 + H2)/3 + (H1^2 + H2^2 + H1 H2)/9 + (Y1 X1 + Y2 X2 + Y3 X3)/3
     """
-    f = {lbl: twisted_field_matrix(Generator(lbl, factor))
+    f = {lbl: twisted_field_matrix(Generator(lbl, "left"))
          for lbl in GENERATOR_LABELS}
     third, ninth = Fraction(1, 3), Fraction(1, 9)
     linear = (f["H1"] + f["H2"]).scale(third)
@@ -506,10 +506,10 @@ def casimir_operator(factor: str = "left") -> DiffOp:
     return linear + cartan + raised
 
 
-def casimir_apply(s: PowerSection, factor: str = "left") -> PowerSection:
+def casimir_apply(s: PowerSection) -> PowerSection:
     """Apply the Casimir to a section by iterated first-order actions."""
     def ap(label, t):
-        return apply_generator(Generator(label, factor), t)
+        return apply_generator(Generator(label, "left"), t)
 
     h1, h2 = ap("H1", s), ap("H2", s)
     third, ninth = Fraction(1, 3), Fraction(1, 9)
@@ -520,11 +520,11 @@ def casimir_apply(s: PowerSection, factor: str = "left") -> PowerSection:
     return out
 
 
-def central_character(mu1, mu2, table: VarTable = MATRIX_TABLE) -> RatFunc:
+def central_character(mu1, mu2) -> RatFunc:
     """Scalar action of the Casimir on the simple module of highest weight mu:
     (mu1 + mu2)/3 + (mu1^2 + mu1 mu2 + mu2^2)/9."""
-    p1 = _affine(mu1).as_ratfunc(table)
-    p2 = _affine(mu2).as_ratfunc(table)
+    p1 = _affine(mu1).as_ratfunc(MATRIX_TABLE)
+    p2 = _affine(mu2).as_ratfunc(MATRIX_TABLE)
     return (p1 + p2).scale(Fraction(1, 3)) + \
         (p1 * p1 + p1 * p2 + p2 * p2).scale(Fraction(1, 9))
 
@@ -588,11 +588,3 @@ def descent_bminusb_presentation() -> DiffOp:
         (gvar(3, 3), -lam1()), (gvar(1, 1), lam1()),
         (minor(1, 1), -lam2()), (minor(3, 3), lam2())])
     return conjugate(mixed_second_order_matrix(), h)
-
-
-def descent_regular_on_bminusb() -> tuple[bool, DiffOp | None]:
-    return regular_on(descent_bminusb_presentation(), BMINUSB)
-
-
-def descent_regular_on_big_cell() -> tuple[bool, DiffOp | None]:
-    return regular_on(mixed_second_order_big(), BIG)

@@ -58,8 +58,8 @@ class Chart:
         self.coords = table.coords
         self.units = tuple(units)
         for u in self.units:
-            if u.is_zero():
-                raise ValueError("unit-set entries must be nonzero")
+            if u.is_constant():
+                raise ValueError("unit-set entries must be non-constant")
 
     def __repr__(self) -> str:
         return f"Chart({self.name!r})"
@@ -121,12 +121,7 @@ class DiffOp:
         _check_chart(self, other)
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            s = terms.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
+            _accumulate(terms, k, v)
         return DiffOp(self.chart, terms)
 
     def __neg__(self) -> "DiffOp":
@@ -224,6 +219,30 @@ def _derivatives(f, coords, d):
     return deriv
 
 
+def _accumulate(out: dict, key: MultiIndex, value: RatFunc) -> None:
+    """out[key] += value, dropping the key when the sum vanishes."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _leibniz(A: DiffOp, deriv, L: MultiIndex, out: dict) -> None:
+    """Accumulate A∘(g d^L) into ``out``, given deriv(M) = d^M g."""
+    for K, a in A.terms.items():
+        for J in _sub_indices(K):
+            db = deriv(tuple(k - j for k, j in zip(K, J)))
+            if db.is_zero():
+                continue
+            coeff = a * db
+            c = _binom(K, J)
+            if c != 1:
+                coeff = coeff.scale(c)
+            _accumulate(out, tuple(j + l for j, l in zip(J, L)), coeff)
+
+
 def _iter_derivative(f: RatFunc, chart: Chart, M: MultiIndex) -> RatFunc:
     for name, k in zip(chart.coords, M):
         for _ in range(k):
@@ -242,30 +261,13 @@ def op_compose(A: DiffOp, B: DiffOp) -> DiffOp:
     chart = A.chart
     out: dict[MultiIndex, RatFunc] = {}
     for L, b in B.terms.items():
-        # derivatives of b needed across all A terms, memoised
-        deriv = _derivatives(b, chart.coords, RatFunc.differentiate)
-        for K, a in A.terms.items():
-            for J in _sub_indices(K):
-                c = _binom(K, J)
-                dM = tuple(k - j for k, j in zip(K, J))
-                db = deriv(dM)
-                if db.is_zero():
-                    continue
-                coeff = a * db
-                if c != 1:
-                    coeff = coeff.scale(c)
-                key = tuple(j + l for j, l in zip(J, L))
-                s = out.get(key)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        _leibniz(A, _derivatives(b, chart.coords, RatFunc.differentiate), L, out)
     return DiffOp(chart, out)
 
 
 def op_apply(A: DiffOp, f: RatFunc) -> RatFunc:
     """Exact action of the operator on a rational function."""
+    # no `_derivatives` memo here: it raised peak memory and saved no arithmetic
     chart = A.chart
     total = RatFunc.const(chart.table, 0)
     for K, c in A.terms.items():
@@ -299,11 +301,7 @@ def regular_on(A: DiffOp, chart: Chart) -> tuple[bool, DiffOp | None]:
     for K, coeff in A.terms.items():
         den = coeff.den
         for u in chart.units:
-            while True:
-                q = den.divide_exact(u)
-                if q is None:
-                    break
-                den = q
+            den, _ = _divide_out(den, u)
         if den.is_constant():
             continue
         if coeff.num.divide_exact(den) is None:
@@ -367,8 +365,7 @@ class ChartMap:
         self.target = target
         self.forward = dict(forward)
         self.inverse = dict(inverse)
-        self._partials: list[DiffOp] | None = None
-        self._powers: dict[MultiIndex, DiffOp] = {}
+        self._powers = None
 
     def reversed(self) -> "ChartMap":
         return ChartMap(self.target, self.source, self.inverse, self.forward)
@@ -392,9 +389,10 @@ class ChartMap:
                 return False
         return True
 
-    def partial_images(self) -> list[DiffOp]:
-        """Transported source derivations, via the inverse Jacobian."""
-        if self._partials is None:
+    def partial_power(self, K: MultiIndex) -> DiffOp:
+        """The source derivation d^K as a target-chart operator; each source
+        derivation is transported through the inverse Jacobian."""
+        if self._powers is None:
             src, tgt = self.source, self.target
             if len(src.coords) != len(tgt.coords):
                 raise SingularJacobian(
@@ -402,24 +400,12 @@ class ChartMap:
             jac = [[self.forward[y].differentiate(z) for z in tgt.coords]
                    for y in src.coords]
             inv = invert_matrix(jac)
-            self._partials = [
-                DiffOp.field(tgt, {z: row[i] for z, row in zip(tgt.coords, inv)})
-                for i in range(len(src.coords))
-            ]
-        return self._partials
-
-    def partial_power(self, K: MultiIndex) -> DiffOp:
-        hit = self._powers.get(K)
-        if hit is not None:
-            return hit
-        if not any(K):
-            op = DiffOp.identity(self.target)
-        else:
-            i = next(i for i, k in enumerate(K) if k)
-            rest = self.partial_power(K[:i] + (K[i] - 1,) + K[i + 1:])
-            op = op_compose(self.partial_images()[i], rest)
-        self._powers[K] = op
-        return op
+            image = {y: DiffOp.field(tgt, {z: row[i]
+                                           for z, row in zip(tgt.coords, inv)})
+                     for i, y in enumerate(src.coords)}
+            self._powers = _derivatives(DiffOp.identity(tgt), src.coords,
+                                        lambda op, y: op_compose(image[y], op))
+        return self._powers(K)
 
 
 def transport(A: DiffOp, M: ChartMap) -> DiffOp:
@@ -542,6 +528,15 @@ class Affine:
 # -- power sections --------------------------------------------------------------------
 
 
+def _divide_out(p: Poly, base: Poly) -> tuple[Poly, int]:
+    """(p / base^k, k) for the largest k with base^k dividing p exactly; the
+    base is non-constant, so a constant p is left as it is."""
+    k = 0
+    while not p.is_constant() and (q := p.divide_exact(base)) is not None:
+        p, k = q, k + 1
+    return p, k
+
+
 def _base_key(p: Poly):
     return tuple(sorted((exp, _frac(c)) for exp, c in p.terms.items()))
 
@@ -590,12 +585,9 @@ class PowerSection:
                 b = merged[key][0]
                 if b.is_constant():
                     continue
-                while not den.is_constant():
-                    q = den.divide_exact(b)
-                    if q is None:
-                        break
-                    den = q
-                    push(b, Affine(-1))
+                den, k = _divide_out(den, b)
+                if k:
+                    push(b, Affine(-k))
             if not den.is_constant():
                 rem, c = den.primitive()
                 push(rem, Affine(-1))
@@ -802,17 +794,11 @@ class PowerSection:
         if self.is_zero() or not self.factors:
             return self
         num = self.num
-        shifts = [0] * len(self.factors)
-        changed = False
-        for i, (base, exp) in enumerate(self.factors):
-            while len(num.terms) >= len(base.terms):
-                q = num.divide_exact(base)
-                if q is None:
-                    break
-                num = q
-                shifts[i] += 1
-                changed = True
-        if not changed:
+        shifts = []
+        for base, _ in self.factors:
+            num, k = _divide_out(num, base)
+            shifts.append(k)
+        if not any(shifts):
             return self
         factors = tuple((b, e + s) for (b, e), s in zip(self.factors, shifts))
         return PowerSection(self.chart, num, factors)
@@ -857,23 +843,7 @@ def conjugate(A: DiffOp, s: PowerSection) -> DiffOp:
         raise ZeroDenominator("conjugation by the zero section")
     dsec = _derivatives(s, chart.coords, PowerSection.derivative)
     out: dict[MultiIndex, RatFunc] = {}
-    for K, c in A.terms.items():
-        for J in _sub_indices(K):
-            M = tuple(k - j for k, j in zip(K, J))
-            dM = dsec(M)
-            if dM.is_zero():
-                continue
-            tM = dM.ratio_to(s)
-            coeff = c * tM
-            b = _binom(K, J)
-            if b != 1:
-                coeff = coeff.scale(b)
-            cur = out.get(J)
-            cur = coeff if cur is None else cur + coeff
-            if cur.is_zero():
-                out.pop(J, None)
-            else:
-                out[J] = cur
+    _leibniz(A, lambda M: dsec(M).ratio_to(s), chart.zero_index(), out)
     return DiffOp(chart, out)
 
 
@@ -911,14 +881,14 @@ def _parameter_scalar(q: RatFunc) -> RatFunc:
     nref = Poly._raw(table, nmap.get(mstar, {}))
     if q.num * dref != q.den * nref:
         raise ExpressFailure(
-            "quotient depends on coordinates",
-            witness=q)
+            f"quotient depends on coordinates: {q.to_text()}", witness=q)
     # strip the shared coordinate monomial from the reference pair
     floor = mstar << pbits
     scalar = RatFunc(nref.shift_down(floor) if not nref.is_zero() else nref,
                      dref.shift_down(floor))
     if scalar.coordinates_used():
-        raise ExpressFailure("quotient depends on coordinates", witness=scalar)
+        raise ExpressFailure(
+            f"quotient depends on coordinates: {scalar.to_text()}", witness=scalar)
     return scalar
 
 

@@ -171,6 +171,16 @@ def test_checker_rejects_corruption():
         bad4 = C.Certificate(cert.lam, cert.support, cert.edges,
                              cert.basepoint, paths, cert.status)
         assert C.validate_certificate(bad4), trip_at_pt
+    # a chain that skips its first edge starts at the wrong point; the cut
+    # leg still ends at the basepoint, so only the chain check catches it
+    cert22 = C.certify((2, 2))
+    trip = cert22.paths[(2, 2)]
+    assert trip["to_basepoint"] == [7, 5]
+    paths = {**cert22.paths, (2, 2): {**trip, "to_basepoint": [5]}}
+    forged_chain = C.Certificate(cert22.lam, cert22.support, cert22.edges,
+                                 cert22.basepoint, paths, cert22.status)
+    assert C.validate_certificate(forged_chain) == \
+        ["broken path at (2, 2) (to_basepoint)"]
     # zero scalar cannot even be constructed
     with pytest.raises(ValueError):
         C.CaseEdge((1, 0), (0, 0), "2a", Fraction(0), "x")

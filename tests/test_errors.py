@@ -58,6 +58,8 @@ def test_parse_errors():
 def test_chart_invariants():
     with pytest.raises(ValueError):
         Chart("bad", T, units=(T.zero(),))
+    with pytest.raises(ValueError):     # no largest power of it divides
+        Chart("bad", T, units=(T.const(2),))
     with pytest.raises(ValueError):
         VarTable(coords=("x", "x"))
 

@@ -217,15 +217,15 @@ def test_casimir_eigenvalue_on_sections():
 
 
 def test_casimir_centrality_spot():
-    cas = P.casimir_operator("left")
+    cas = P.casimir_operator()
     for label in ("X1", "Y3", "H2"):
         assert commutator(
             cas, P.twisted_field_matrix(P.Generator(label, "left"))).is_zero()
 
 
 def test_descent_regular_both_presentations():
-    assert P.descent_regular_on_big_cell() == (True, None)
-    ok, witness = P.descent_regular_on_bminusb()
+    assert regular_on(P.mixed_second_order_big(), P.BIG) == (True, None)
+    ok, witness = regular_on(P.descent_bminusb_presentation(), P.BMINUSB)
     assert ok and witness is None
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pgl3dops import pgl3 as P
 from pgl3dops.ring import Poly, RatFunc, VarTable
 from pgl3dops.weyl import (Affine, Chart, ChartMap, DiffOp, ExpressFailure,
                            PowerSection, ad_nilpotency_depth, commutator,
@@ -228,6 +229,10 @@ def test_express_as_multiple():
     assert express_as_multiple(sig, sig) == ONE
     with pytest.raises(ExpressFailure):
         express_as_multiple(sig.scale(X), sig)
+    # the message names the offending quotient, so a failed check's details do
+    s = P.canonical_section()
+    with pytest.raises(ExpressFailure, match="g11"):
+        express_as_multiple(s.scale(RatFunc.from_poly(P.gvar(1, 1))), s)
 
 
 def test_express_handles_integer_exponent_shift():
