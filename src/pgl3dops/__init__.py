@@ -6,7 +6,7 @@ Layers:
 
 * :mod:`pgl3dops.ring`    -- exact rationals, sparse polynomials, fractions;
 * :mod:`pgl3dops.weyl`    -- differential operators on charts, transport,
-  power sections with parameter-affine exponents;
+  power sections whose exponents are parameter polynomials;
 * :mod:`pgl3dops.pgl3`    -- the group compactification model (charts, the
   infinitesimal action, the global order-2 operator, twists, Casimir);
 * :mod:`pgl3dops.conics`  -- the complete-conics analogue;
@@ -16,7 +16,7 @@ Layers:
 """
 
 from .ring import Poly, RatFunc, VarTable, parse_ratfunc
-from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
+from .weyl import (Chart, ChartMap, DiffOp, PowerSection,
                    ad_nilpotency_depth, commutator, conjugate,
                    express_as_multiple, op_apply, op_apply_section,
                    op_compose, parse_operator, regular_on, transport)
@@ -24,7 +24,7 @@ from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Affine", "Chart", "ChartMap", "DiffOp", "Poly", "PowerSection",
+    "Chart", "ChartMap", "DiffOp", "Poly", "PowerSection",
     "RatFunc", "VarTable", "ad_nilpotency_depth", "commutator", "conjugate",
     "express_as_multiple", "op_apply", "op_apply_section", "op_compose",
     "parse_operator", "parse_ratfunc", "regular_on", "transport",

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .ring import RatFunc, parse_ratfunc
+from .ring import RatFunc, evaluate_text
 from .weyl import PowerSection, express_as_multiple
 # unused here, but perfbench/tests/test_harness.py checks that the benchmark's
 # patcher rewrites this binding too
@@ -153,8 +152,9 @@ def module_dimension(lam: tuple[int, int]) -> int:
 
 
 def apply_move(case: str, s: PowerSection, f: PowerSection, nu) -> PowerSection:
-    """The case move applied to a section of weight nu (ints or Affine), with
-    f the trivialising section of the same weight parameters."""
+    """The case move applied to a section of weight nu (numbers or parameter
+    polynomials over the matrix table), with f the trivialising section of
+    the same weight parameters."""
     move = MOVES[case]
     if move.weyl is None:
         out = P.apply_descent(s, f)
@@ -169,9 +169,9 @@ def apply_move(case: str, s: PowerSection, f: PowerSection, nu) -> PowerSection:
 def move_scalar(case: str, m, lam=None) -> RatFunc:
     """The scalar by which the case move sends sigma_m to sigma_(m + step).
 
-    m and the weight lam are pairs of ints or Affine, lam symbolic by
-    default; the move is applied as an algebraic identity, with no
-    certificate-level precondition.
+    m and the weight lam are pairs of numbers or parameter polynomials over
+    the matrix table, lam symbolic by default; the move is applied as an
+    algebraic identity, with no certificate-level precondition.
     """
     dm1, dm2 = MOVES[case].step
     out = apply_move(case, P.monomial_section(*m, lam),
@@ -203,7 +203,8 @@ def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str,
 
 
 # The engine-derived closed forms of the case scalars, over (m1, m2, nu1, nu2);
-# certificates print these texts and ``closed_form_value`` evaluates them.
+# certificates print these texts and ``closed_form_value`` evaluates them
+# factor by factor, without expanding the products.
 CLOSED_FORMS = {
     "1": "m1*m2",
     "2a": "-(1/3)*m1*nu2*(m2 + nu2 + 1)",
@@ -214,15 +215,10 @@ CLOSED_FORMS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _parsed_scalar(text: str):
-    return parse_ratfunc(text, P.MATRIX_TABLE)
-
-
 def scalar_at(text: str, p: SupportPoint) -> Fraction:
     """Value of a scalar formula over (m1, m2, nu1, nu2) at a support point."""
-    return _parsed_scalar(text).evaluate(
-        {"m1": p.m1, "m2": p.m2, "nu1": p.nu1, "nu2": p.nu2})
+    return evaluate_text(text, {"m1": p.m1, "m2": p.m2,
+                                "nu1": p.nu1, "nu2": p.nu2})
 
 
 def closed_form_value(case: str, p: SupportPoint) -> Fraction:

@@ -21,7 +21,7 @@ from . import conics as CON
 from . import pgl3 as P
 from . import reference as REF
 from .ring import RatFunc
-from .weyl import (Affine, DiffOp, PowerSection, ad_nilpotency_depth,
+from .weyl import (DiffOp, PowerSection, ad_nilpotency_depth,
                    commutator, express_as_multiple, op_apply, op_apply_section,
                    op_compose, regular_on)
 
@@ -56,15 +56,11 @@ def _sym_nu():
     return P.weight_exponents(P.sym_m1(), P.sym_m2())
 
 
-def _nu_texts(table):
-    n1, n2 = _sym_nu()
-    return n1.as_ratfunc(table), n2.as_ratfunc(table)
-
-
 def _sub_nu(rf: RatFunc) -> RatFunc:
     """Replace the stand-alone parameters nu1, nu2 by their (lam, m) forms."""
-    n1, n2 = _nu_texts(rf.table)
-    return rf.substitute({"nu1": n1, "nu2": n2})
+    n1, n2 = _sym_nu()
+    return rf.substitute({"nu1": RatFunc.from_poly(n1),
+                          "nu2": RatFunc.from_poly(n2)})
 
 
 def _grid_points(n, dims=4):
@@ -423,7 +419,7 @@ def check_twist_descent_example(cfg):
     u12u21 = (RatFunc.from_poly(P.minor(2, 1)) * RatFunc.from_poly(P.minor(1, 2))
               / (RatFunc.from_poly(P.minor(1, 1)) ** 2))
     m1r, m2r = RatFunc.var(t, "m1"), RatFunc.var(t, "m2")
-    nu1r = _sym_nu()[0].as_ratfunc(t)
+    nu1r = RatFunc.from_poly(_sym_nu()[0])
     expected = s_rho.scale(m2r * m1r * u12u21) + \
         s_a2.scale(m2r * (m1r + nu1r))
     if out != expected:
@@ -453,6 +449,7 @@ def check_twist_operator_identity(cfg):
     rng = random.Random(cfg.seed)
     d0 = P.mixed_second_order_matrix()
     for w in (P.W_E, P.W_S1, P.W_S1S2):
+        M = P.weyl_substitution(w)
         tw = P.twist_operator(d0, w)
         if w.label == "e" and tw != d0:
             return "fail", "identity twist changed the operator"
@@ -463,9 +460,7 @@ def check_twist_operator_identity(cfg):
                 mono = mono * P.MATRIX_TABLE.var(name) ** e
             f = RatFunc.from_poly(mono)
             lhs = op_apply(tw, f)
-            sub_in = P._conjugation_formulas(w.inverse())
-            sub_out = P._conjugation_formulas(w)
-            rhs = op_apply(d0, f.substitute(sub_in)).substitute(sub_out)
+            rhs = M.substitute_to_target(op_apply(d0, M.substitute_to_source(f)))
             if lhs != rhs:
                 return "fail", f"twist by {w.label} fails the defining identity"
     return "pass", "operator twists satisfy w.(D(w^{-1}.f)) on samples"
@@ -504,12 +499,12 @@ def check_casimir_eigenvalue(cfg):
 
 def check_chi_values(cfg):
     t = P.MATRIX_TABLE
-    if P.central_character(Affine(0), Affine(0)) != RatFunc.const(t, 0):
+    if P.central_character(0, 0) != RatFunc.const(t, 0):
         return "fail", "chi(0) != 0"
-    if P.central_character(Affine(1), Affine(1)) != RatFunc.const(t, 1):
+    if P.central_character(1, 1) != RatFunc.const(t, 1):
         return "fail", "chi(rho) != 1"
     chi_ref = _sub_nu(REF.rf_matrix(REF.CHI_TEXT))
-    chi_eng = _sub_nu(P.central_character(Affine.param("nu1"), Affine.param("nu2")))
+    chi_eng = _sub_nu(P.central_character(t.var("nu1"), t.var("nu2")))
     if chi_eng != chi_ref:
         return "fail", "character formula differs from the display"
     return "pass", "chi(0) = 0, chi(rho) = 1, formula matches the display"
@@ -716,7 +711,7 @@ def check_case3b_grid(cfg):
 def check_case4_scalar(cfg):
     m1, m2 = P.sym_m1(), P.sym_m2()
     # the weights whose support point m has nu = (1, 1)
-    lam = (Affine(1) + m2.scale(2) - m1, Affine(1) + m1.scale(2) - m2)
+    lam = (1 + m2.scale(2) - m1, 1 + m1.scale(2) - m2)
     got = CERT.move_scalar("4", (m1, m2), lam)
     if got != _closed_form("4"):
         return "fail", f"engine scalar {got.to_text()}"
@@ -1006,7 +1001,8 @@ def concordance_items() -> list[dict]:
                        CERT.CLOSED_FORMS["4"],
                        None if got4 == c4sym.evaluate({"m1": 0, "m2": 0})
                        else f"sample defect {got4}"))
-    chi_eng = _sub_nu(P.central_character(Affine.param("nu1"), Affine.param("nu2")))
+    chi_eng = _sub_nu(P.central_character(P.MATRIX_TABLE.var("nu1"),
+                                          P.MATRIX_TABLE.var("nu2")))
     chi_ref = _sub_nu(REF.rf_matrix(REF.CHI_TEXT))
     items.append(_item("casimir.chi", REF.CHI_TEXT, chi_eng.to_text() if chi_eng != chi_ref else REF.CHI_TEXT,
                        None if chi_eng == chi_ref else (chi_eng - chi_ref).to_text()))

@@ -61,18 +61,13 @@ def _cmd_certify(args) -> int:
     lam = (args.lam[0], args.lam[1])
     cert = CERT.certify(lam)
     problems = CERT.validate_certificate(cert)
-    payload = CERT_report(cert, problems)
+    data = cert.to_json()
+    data["checker_problems"] = problems
     print(_certificate_transcript(cert, problems))
-    _write_json(args.json, payload)
+    _write_json(args.json, CK.report_json(certificates=[data]))
     if problems or cert.status == "unreachable":
         return 1
     return 0
-
-
-def CERT_report(cert, problems) -> dict:
-    data = cert.to_json()
-    data["checker_problems"] = problems
-    return CK.report_json(certificates=[data])
 
 
 def _certificate_transcript(cert, problems) -> str:

@@ -22,13 +22,12 @@ Charts:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .ring import Poly, RatFunc, VarTable
-from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
+from .weyl import (Chart, ChartMap, DiffOp, PowerSection,
                    ad_nilpotency_depth, conjugate, op_compose, transport)
-from .pgl3 import PARAMS, _GEN_MATRICES, NILPOTENT_LABELS, homogenize, mat_mul
+from .pgl3 import PARAMS, Generator, NILPOTENT_LABELS, homogenize, mat_mul
 
 CONIC_NAMES = ("u12", "u13", "u23", "x", "y")
 ENTRY_NAMES = ("s12", "s13", "s22", "s23", "s33")
@@ -181,8 +180,7 @@ def action_field_cone(xi) -> DiffOp:
 
 @lru_cache(maxsize=None)
 def generator_field_cone(label: str) -> DiffOp:
-    return action_field_cone(tuple(tuple(Fraction(e) for e in row)
-                                   for row in _GEN_MATRICES[label]))
+    return action_field_cone(Generator(label).matrix)
 
 
 def euler_field_cone(prefix: str) -> DiffOp:
@@ -207,7 +205,7 @@ def twisted_mixed_derivative() -> DiffOp:
     analogue of the canonical-section conjugation)."""
     one = RatFunc.const(CONE_TABLE, 1)
     section = PowerSection(CONE, one, [
-        (_cone_var("S", 1, 1), Affine.param("lam1")),
-        (_cone_var("T", 3, 3), Affine.param("lam2"))])
+        (_cone_var("S", 1, 1), CONE_TABLE.var("lam1")),
+        (_cone_var("T", 3, 3), CONE_TABLE.var("lam2"))])
     return conjugate(mixed_derivative_cone(), section)
 

@@ -18,8 +18,8 @@ against the reference forms.
 
 Sections of the line bundle attached to a weight (lam1, lam2) are modelled
 on the matrix chart as power products: the canonical section is
-g33^lam1 * Delta11^lam2, and its monomial multiples carry exponents affine
-in the parameters lam1, lam2, m1, m2.
+g33^lam1 * Delta11^lam2, and its monomial multiples carry exponents that are
+polynomials in the parameters lam1, lam2, m1, m2 over the matrix table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ring import Poly, RatFunc, VarTable
-from .weyl import (Affine, Chart, ChartMap, DiffOp, PowerSection,
+from .weyl import (Chart, ChartMap, DiffOp, PowerSection,
                    commutator, conjugate, op_apply_section, op_compose,
                    transport)
 
@@ -368,33 +368,32 @@ def mixed_second_order_matrix() -> DiffOp:
 # -- sections ------------------------------------------------------------------------------
 
 
-def _affine(value) -> Affine:
-    if isinstance(value, Affine):
-        return value
-    return Affine(value)
+def _exponent(value) -> Poly:
+    """A section exponent over the matrix table; a number becomes a constant."""
+    return value if isinstance(value, Poly) else MATRIX_TABLE.const(value)
 
 
-def lam1() -> Affine:
-    return Affine.param("lam1")
+def lam1() -> Poly:
+    return MATRIX_TABLE.var("lam1")
 
 
-def lam2() -> Affine:
-    return Affine.param("lam2")
+def lam2() -> Poly:
+    return MATRIX_TABLE.var("lam2")
 
 
-def sym_m1() -> Affine:
-    return Affine.param("m1")
+def sym_m1() -> Poly:
+    return MATRIX_TABLE.var("m1")
 
 
-def sym_m2() -> Affine:
-    return Affine.param("m2")
+def sym_m2() -> Poly:
+    return MATRIX_TABLE.var("m2")
 
 
-def weight_exponents(m1, m2, lam=None) -> tuple[Affine, Affine]:
-    """(nu1, nu2) = (lam2 - 2 m1 + m2, lam1 + m1 - 2 m2); the weight lam is a
-    pair of ints or Affine, symbolic (lam1, lam2) by default."""
-    l1, l2 = (lam1(), lam2()) if lam is None else map(_affine, lam)
-    m1, m2 = _affine(m1), _affine(m2)
+def weight_exponents(m1, m2, lam=None) -> tuple[Poly, Poly]:
+    """(nu1, nu2) = (lam2 - 2 m1 + m2, lam1 + m1 - 2 m2) for m and lam numbers
+    or matrix-table parameter polynomials, lam symbolic by default."""
+    l1, l2 = (lam1(), lam2()) if lam is None else map(_exponent, lam)
+    m1, m2 = _exponent(m1), _exponent(m2)
     return l2 - m1.scale(2) + m2, l1 + m1 - m2.scale(2)
 
 
@@ -405,8 +404,8 @@ def monomial_section(m1=None, m2=None, lam=None) -> PowerSection:
     ``weight_exponents``); the matrix-chart power product is
     g33^nu2 * Delta11^nu1 * Delta^m1.
     """
-    m1 = sym_m1() if m1 is None else _affine(m1)
-    m2 = sym_m2() if m2 is None else _affine(m2)
+    m1 = sym_m1() if m1 is None else m1
+    m2 = sym_m2() if m2 is None else m2
     nu1, nu2 = weight_exponents(m1, m2, lam)
     one = RatFunc.const(MATRIX_TABLE, 1)
     return PowerSection(MATRIX, one, [
@@ -420,9 +419,10 @@ def canonical_section() -> PowerSection:
 
 
 def monomial_section_big(m1=None, m2=None) -> PowerSection:
-    """Big-cell coefficient of sigma relative to the canonical section: a1^m1 a2^m2."""
-    m1 = sym_m1() if m1 is None else _affine(m1)
-    m2 = sym_m2() if m2 is None else _affine(m2)
+    """Big-cell coefficient of sigma relative to the canonical section:
+    a1^m1 a2^m2, with exponents over the big-cell table (symbolic by default)."""
+    m1 = BIG_TABLE.var("m1") if m1 is None else m1
+    m2 = BIG_TABLE.var("m2") if m2 is None else m2
     one = RatFunc.const(BIG_TABLE, 1)
     return PowerSection(BIG, one, [(BIG_TABLE.var("a1"), m1),
                                    (BIG_TABLE.var("a2"), m2)])
@@ -523,8 +523,8 @@ def casimir_apply(s: PowerSection) -> PowerSection:
 def central_character(mu1, mu2) -> RatFunc:
     """Scalar action of the Casimir on the simple module of highest weight mu:
     (mu1 + mu2)/3 + (mu1^2 + mu1 mu2 + mu2^2)/9."""
-    p1 = _affine(mu1).as_ratfunc(MATRIX_TABLE)
-    p2 = _affine(mu2).as_ratfunc(MATRIX_TABLE)
+    p1 = RatFunc.from_poly(_exponent(mu1))
+    p2 = RatFunc.from_poly(_exponent(mu2))
     return (p1 + p2).scale(Fraction(1, 3)) + \
         (p1 * p1 + p1 * p2 + p2 * p2).scale(Fraction(1, 9))
 

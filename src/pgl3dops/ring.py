@@ -192,9 +192,16 @@ class Poly:
     def is_one(self) -> bool:
         return self.terms == {0: 1}
 
+    def params_only(self) -> bool:
+        """No coordinate occurs: every key lies in the low parameter fields."""
+        pbits = self.table.param_bits
+        return not any(key >> pbits for key in self.terms)
+
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other: "Poly | Number") -> "Poly":
+        if not isinstance(other, Poly):
+            other = self.table.const(other)
         _check_table(self, other)
         terms = dict(self.terms)
         get = terms.get
@@ -206,10 +213,12 @@ class Poly:
                 terms[key] = _num(s)
         return Poly._raw(self.table, terms)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Poly":
         return Poly._raw(self.table, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other: "Poly | Number") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -287,18 +296,6 @@ class Poly:
             else:
                 out[nkey] = _num(s)
         return Poly._raw(self.table, out)
-
-    def variables(self) -> set[str]:
-        used: set[str] = set()
-        names = self.table.names
-        for key in self.terms:
-            for i, e in enumerate(self.table.decode(key)):
-                if e:
-                    used.add(names[i])
-        return used
-
-    def coordinates_used(self) -> set[str]:
-        return {v for v in self.variables() if not self.table.is_param(v)}
 
     # -- evaluation and substitution -------------------------------------------
 
@@ -586,8 +583,8 @@ class RatFunc:
             raise ZeroDenominator("substituted denominator is identically zero")
         return self.num.substitute(mapping) / den
 
-    def coordinates_used(self) -> set[str]:
-        return self.num.coordinates_used() | self.den.coordinates_used()
+    def params_only(self) -> bool:
+        return self.num.params_only() and self.den.params_only()
 
     # -- printing -------------------------------------------------------------------
 
@@ -690,40 +687,70 @@ class _Tokens:
 
 def parse_ratfunc(text: str, table: VarTable) -> RatFunc:
     """Parse the canonical fraction grammar over the given table."""
+    return _parse(text, _table_atom(table))
+
+
+def evaluate_text(text: str, values: Mapping[str, Number]) -> Fraction:
+    """Exact value of a text in the fraction grammar at a point, computed
+    factor by factor without expanding products; every name must be given."""
+    def atom(tok: str) -> Fraction:
+        if tok.isdigit():
+            return Fraction(int(tok))
+        if tok in values:
+            return _frac(values[tok])
+        raise ParseError(f"unknown name {tok!r}")
+    return _parse(text, atom)
+
+
+def _table_atom(table: VarTable):
+    """Resolve an integer or a variable name to a fraction over ``table``."""
+    def atom(tok: str) -> RatFunc:
+        if tok.isdigit():
+            return RatFunc.const(table, int(tok))
+        if tok in table.index:
+            return RatFunc.var(table, tok)
+        raise ParseError(f"unknown name {tok!r}")
+    return atom
+
+
+def _parse(text: str, atom):
+    """Recursive descent over the grammar that only adds, multiplies,
+    divides and raises to integer powers; ``atom`` turns each integer or
+    name token into a value."""
     toks = _Tokens(text)
-    value = _parse_sum(toks, table)
+    value = _parse_sum(toks, atom)
     if toks.peek() is not None:
         raise ParseError(f"trailing input at {toks.peek()!r}")
     return value
 
 
-def _parse_sum(toks: _Tokens, table: VarTable) -> RatFunc:
-    value = _parse_product(toks, table)
+def _parse_sum(toks: _Tokens, atom):
+    value = _parse_product(toks, atom)
     while toks.peek() in ("+", "-"):
         op = toks.next()
-        rhs = _parse_product(toks, table)
+        rhs = _parse_product(toks, atom)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _parse_product(toks: _Tokens, table: VarTable) -> RatFunc:
-    value = _parse_factor(toks, table)
+def _parse_product(toks: _Tokens, atom):
+    value = _parse_factor(toks, atom)
     while toks.peek() in ("*", "/"):
         op = toks.next()
-        rhs = _parse_factor(toks, table)
+        rhs = _parse_factor(toks, atom)
         value = value * rhs if op == "*" else value / rhs
     return value
 
 
-def _parse_factor(toks: _Tokens, table: VarTable) -> RatFunc:
+def _parse_factor(toks: _Tokens, atom):
     tok = toks.peek()
     if tok == "-":
         toks.next()
-        return -_parse_factor(toks, table)
+        return -_parse_factor(toks, atom)
     if tok == "+":
         toks.next()
-        return _parse_factor(toks, table)
-    value = _parse_atom(toks, table)
+        return _parse_factor(toks, atom)
+    value = _parse_atom(toks, atom)
     while toks.peek() == "^":
         toks.next()
         sign = 1
@@ -737,14 +764,10 @@ def _parse_factor(toks: _Tokens, table: VarTable) -> RatFunc:
     return value
 
 
-def _parse_atom(toks: _Tokens, table: VarTable) -> RatFunc:
+def _parse_atom(toks: _Tokens, atom):
     tok = toks.next()
     if tok == "(":
-        value = _parse_sum(toks, table)
+        value = _parse_sum(toks, atom)
         toks.expect(")")
         return value
-    if tok.isdigit():
-        return RatFunc.const(table, int(tok))
-    if tok in table.index:
-        return RatFunc.var(table, tok)
-    raise ParseError(f"unknown name {tok!r}")
+    return atom(tok)

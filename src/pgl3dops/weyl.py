@@ -6,9 +6,10 @@ chart's coordinates.  Composition uses the generalised Leibniz rule, so the
 normal form is unique and equality is decidable.
 
 ``PowerSection`` models expressions ``prefactor * b1^e1 * ... * bk^ek`` with
-polynomial bases and exponents that are affine in the parameters; first-order
-operators act through the symbolic power rule ``d(b^e) = e b^(e-1) db``, and
-higher orders by iteration, so applying an operator never leaves this class.
+polynomial bases and exponents that are polynomials in the parameters alone,
+over the chart's own table; first-order operators act through the symbolic
+power rule ``d(b^e) = e b^(e-1) db``, and higher orders by iteration, so
+applying an operator never leaves this class.
 
 ``ChartMap`` carries an invertible rational change of coordinates; operators
 are transported by inverting the Jacobian of the forward formulas, exactly.
@@ -21,7 +22,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .ring import (Number, Poly, RatFunc, VarTable, ZeroDenominator, _frac,
-                   _Tokens, ParseError)
+                   _parse_factor, _table_atom, _Tokens, ParseError)
 
 MultiIndex = tuple[int, ...]
 
@@ -419,112 +420,6 @@ def transport(A: DiffOp, M: ChartMap) -> DiffOp:
     return out
 
 
-# -- parameter-affine exponents -----------------------------------------------------
-
-
-class Affine:
-    """Affine-linear expression in parameter names with rational coefficients."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=0, coeffs: Mapping[str, Number] | None = None):
-        self.const = _frac(const)
-        items = {}
-        if coeffs:
-            for name, c in coeffs.items():
-                c = _frac(c)
-                if c != 0:
-                    items[name] = c
-        self.coeffs = dict(sorted(items.items()))
-
-    @staticmethod
-    def param(name: str, scale=1) -> "Affine":
-        return Affine(0, {name: scale})
-
-    def __add__(self, other) -> "Affine":
-        if isinstance(other, (int, Fraction)):
-            return Affine(self.const + other, self.coeffs)
-        out = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            out[name] = out.get(name, Fraction(0)) + c
-        return Affine(self.const + other.const, out)
-
-    def __radd__(self, other) -> "Affine":
-        return self + other
-
-    def __neg__(self) -> "Affine":
-        return Affine(-self.const, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other) -> "Affine":
-        return self + (-other if isinstance(other, Affine) else -_frac(other))
-
-    def scale(self, k) -> "Affine":
-        k = _frac(k)
-        return Affine(self.const * k, {n: c * k for n, c in self.coeffs.items()})
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def constant_value(self) -> Fraction:
-        if self.coeffs:
-            raise ValueError(f"exponent {self.to_text()} is not constant")
-        return self.const
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.coeffs
-
-    def evaluate(self, values: Mapping[str, Number]) -> Fraction:
-        total = self.const
-        for name, c in self.coeffs.items():
-            total += c * _frac(values[name])
-        return total
-
-    def substitute(self, values: Mapping[str, Number]) -> "Affine":
-        """Replace the given parameters by numbers, keeping the rest symbolic."""
-        const = self.const
-        out = {}
-        for name, c in self.coeffs.items():
-            if name in values:
-                const += c * _frac(values[name])
-            else:
-                out[name] = c
-        return Affine(const, out)
-
-    def as_poly(self, table: VarTable) -> Poly:
-        total = table.const(self.const)
-        for name, c in self.coeffs.items():
-            total = total + table.var(name).scale(c)
-        return total
-
-    def as_ratfunc(self, table: VarTable) -> RatFunc:
-        return RatFunc.from_poly(self.as_poly(table))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.const == other
-        return self.const == other.const and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.const, tuple(self.coeffs.items())))
-
-    def to_text(self) -> str:
-        parts = []
-        for name, c in self.coeffs.items():
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        if self.const != 0 or not parts:
-            parts.append(str(self.const))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"Affine({self.to_text()})"
-
-
 # -- power sections --------------------------------------------------------------------
 
 
@@ -541,11 +436,19 @@ def _base_key(p: Poly):
     return tuple(sorted((exp, _frac(c)) for exp, c in p.terms.items()))
 
 
-class PowerSection:
-    """num * product of polynomial bases raised to parameter-affine exponents.
+def _integer(e: Poly) -> int | None:
+    """The value of an exponent that is a constant integer, else None."""
+    c = e.constant_value() if e.is_constant() else None
+    return int(c) if c is not None and c.denominator == 1 else None
 
-    The numerator is always a polynomial: every denominator is absorbed into
-    the power product as an integer shift of an exponent (with new bases
+
+class PowerSection:
+    """num * product of polynomial bases raised to parameter exponents.
+
+    Each exponent is a ``Poly`` over the chart's table in which no coordinate
+    occurs (a number stands for a constant one); the constructor checks every
+    exponent, which is what keeps the power rule exact.  The numerator is
+    always a polynomial: every denominator is absorbed into the power product as an integer shift of an exponent (with new bases
     created on demand).  Two sections are compatible for addition whenever
     they have the same bases up to concrete integer exponent differences,
     which are reconciled by multiplying base powers into the numerators.
@@ -558,8 +461,11 @@ class PowerSection:
         merged: dict = {}
 
         def push(base: Poly, exp):
-            if not isinstance(exp, Affine):
-                exp = Affine(exp)
+            if not isinstance(exp, Poly):
+                exp = table.const(exp)
+            elif exp.table is not table or not exp.params_only():
+                raise ValueError(f"exponent {exp.to_text()} is not a polynomial "
+                                 f"in the parameters of {chart!r}")
             if base.is_zero():
                 raise ZeroDenominator("power-section base is identically zero")
             key = _base_key(base)
@@ -587,10 +493,10 @@ class PowerSection:
                     continue
                 den, k = _divide_out(den, b)
                 if k:
-                    push(b, Affine(-k))
+                    push(b, -k)
             if not den.is_constant():
                 rem, c = den.primitive()
-                push(rem, Affine(-1))
+                push(rem, -1)
                 den = den.table.const(c)
         if den is not None:
             c = den.constant_value()
@@ -605,8 +511,8 @@ class PowerSection:
                 c = base.constant_value()
                 if c == 1:
                     continue
-                if exp.is_constant() and exp.const.denominator == 1:
-                    num = num.scale(c ** int(exp.const))
+                if (n := _integer(exp)) is not None:
+                    num = num.scale(c ** n)
                     continue
                 raise ValueError(
                     f"constant base {c} with symbolic exponent {exp.to_text()}")
@@ -633,18 +539,18 @@ class PowerSection:
         odict = {_base_key(b): (b, e) for b, e in other.factors}
         factors = []
         n1, n2 = self.num, other.num
+        zero = self.chart.table.zero()
         for key in sorted(set(sdict) | set(odict)):
             base = (sdict.get(key) or odict.get(key))[0]
-            e1 = sdict[key][1] if key in sdict else Affine(0)
-            e2 = odict[key][1] if key in odict else Affine(0)
-            diff = e1 - e2
-            if not diff.is_constant() or diff.const.denominator != 1:
+            e1 = sdict[key][1] if key in sdict else zero
+            e2 = odict[key][1] if key in odict else zero
+            shift = _integer(e1 - e2)
+            if shift is None:
                 raise ExpressFailure(
                     f"incompatible exponents on base {base.to_text()}: "
                     f"{e1.to_text()} vs {e2.to_text()}" +
                     (f" ({context})" if context else ""),
                     witness=base)
-            shift = int(diff.const)
             if shift >= 0:
                 target = e2
                 n1 = n1 * base ** shift
@@ -686,7 +592,7 @@ class PowerSection:
             num = self.chart.table.const(Fraction(1, 1) / self.num.constant_value())
         else:
             prim, c = self.num.primitive()
-            factors.append((prim, Affine(-1)))
+            factors.append((prim, -1))
             num = self.chart.table.const(Fraction(1, 1) / c)
         return PowerSection(self.chart, num, factors)
 
@@ -727,7 +633,6 @@ class PowerSection:
 
     def derivative(self, name: str) -> "PowerSection":
         """First-order derivative via the symbolic power rule."""
-        table = self.chart.table
         live = [(i, b, e, b.differentiate(name))
                 for i, (b, e) in enumerate(self.factors)]
         live = [(i, b, e, db) for i, b, e, db in live if not db.is_zero()]
@@ -740,7 +645,7 @@ class PowerSection:
             total = total * b
         # total = num' * prod(live bases); add num * e_i * db_i * prod(other live)
         for i, b, e, db in live:
-            term = self.num * e.as_poly(table) * db
+            term = self.num * e * db
             for j, bj, ej, dbj in live:
                 if j != i:
                     term = term * bj
@@ -753,13 +658,14 @@ class PowerSection:
         """Specialise parameters in the exponents and the numerator."""
         table = self.chart.table
         mapping = {name: RatFunc.const(table, v) for name, v in values.items()}
-        num = self.num.substitute(mapping).as_poly() if mapping else self.num
-        factors = tuple((b, e.substitute(values)) for b, e in self.factors)
-        return PowerSection(self.chart, num, factors)
+        return PowerSection(
+            self.chart, self.num.substitute(mapping).as_poly(),
+            [(b, e.substitute(mapping).as_poly()) for b, e in self.factors])
 
     def substitute_coords(self, mapping: Mapping[str, RatFunc],
                           chart: Chart) -> "PowerSection":
-        """Coordinate substitution; bases must stay polynomial up to scale."""
+        """Coordinate substitution; bases must stay polynomial up to scale,
+        and ``chart`` must share this section's table (the exponents')."""
         pre = self.num.substitute(mapping)
         factors = []
         for base, exp in self.factors:
@@ -777,11 +683,11 @@ class PowerSection:
                 raise ZeroDenominator(
                     f"base {base.to_text()} vanishes identically after substitution")
             if scalar != 1:
-                if not (exp.is_constant() and exp.const.denominator == 1):
+                if (n := _integer(exp)) is None:
                     raise ValueError(
                         f"base {base.to_text()} rescales by {scalar} under "
                         f"substitution but has symbolic exponent {exp.to_text()}")
-                pre = pre * RatFunc.const(pre.table, scalar ** int(exp.const))
+                pre = pre * RatFunc.const(pre.table, scalar ** n)
             factors.append((newbase, exp))
         return PowerSection(chart, pre, factors)
 
@@ -873,7 +779,7 @@ def _parameter_scalar(q: RatFunc) -> RatFunc:
             out.setdefault(key >> pbits, {})[key] = c
         return out
 
-    if not q.den.coordinates_used() and not q.num.coordinates_used():
+    if q.params_only():
         return q
     nmap, dmap = split(q.num), split(q.den)
     mstar = max(dmap)
@@ -886,7 +792,7 @@ def _parameter_scalar(q: RatFunc) -> RatFunc:
     floor = mstar << pbits
     scalar = RatFunc(nref.shift_down(floor) if not nref.is_zero() else nref,
                      dref.shift_down(floor))
-    if scalar.coordinates_used():
+    if not scalar.params_only():
         raise ExpressFailure(
             f"quotient depends on coordinates: {scalar.to_text()}", witness=scalar)
     return scalar
@@ -961,13 +867,13 @@ def _parse_op_product(toks: _Tokens, chart: Chart) -> DiffOp:
 
 
 def _parse_scalar_factor(toks: _Tokens, table: VarTable) -> RatFunc:
-    from .ring import _parse_factor
-    value = _parse_factor(toks, table)
+    atom = _table_atom(table)
+    value = _parse_factor(toks, atom)
     while toks.peek() == "/":
         # only allow division by a following scalar factor
         toks.next()
         nxt = toks.peek()
         if nxt is not None and nxt.startswith("d/d"):
             raise ParseError("cannot divide by a derivative")
-        value = value / _parse_factor(toks, table)
+        value = value / _parse_factor(toks, atom)
     return value

@@ -28,6 +28,7 @@ from pgl3dops import checks as CK
 from pgl3dops import cli
 from pgl3dops import pgl3 as P
 from pgl3dops import reference as REF
+from pgl3dops.ring import RatFunc
 from pgl3dops.weyl import commutator
 
 CFG = CK.CheckConfig()          # grid 4, seed 0
@@ -177,8 +178,8 @@ def test_criterion_07_case2_displayed_closed_form():
     start = time.monotonic()
     got = CK._sym_case_scalar("2b")
     nu = P.weight_exponents(P.sym_m1(), P.sym_m2())
-    nu_sub = {"nu1": nu[0].as_ratfunc(P.MATRIX_TABLE),
-              "nu2": nu[1].as_ratfunc(P.MATRIX_TABLE)}
+    nu_sub = {"nu1": RatFunc.from_poly(nu[0]),
+              "nu2": RatFunc.from_poly(nu[1])}
     # (a) the symbolic scalar is the recorded engine form
     engine_form = REF.rf_matrix(REF.CASE2B_SCALAR_ENGINE).substitute(nu_sub)
     assert got == engine_form, \

@@ -2,9 +2,14 @@
 
 from fractions import Fraction
 
+import itertools
+
 import pytest
 
 from pgl3dops import certify as C
+from pgl3dops import pgl3 as P
+from pgl3dops import reference as REF
+from pgl3dops.ring import parse_ratfunc
 
 
 def test_dominant_support_examples():
@@ -88,6 +93,21 @@ def test_closed_forms_match_engine_on_samples():
             for case in ("1", "2a", "2b", "3a", "3b"):
                 got = C.case_scalar(lam, p, case, check_preconditions=False)
                 assert got == C.closed_form_value(case, p), (lam, p, case)
+
+
+def test_closed_forms_equal_their_expansions():
+    # factor-by-factor evaluation against the expanded parse, over
+    # (lam, m) in [0,4]^4, negative weights included
+    texts = dict(C.CLOSED_FORMS, displayed=REF.CASE2B_SCALAR_DISPLAYED)
+    expanded = {key: parse_ratfunc(text, P.MATRIX_TABLE)
+                for key, text in texts.items()}
+    for l1, l2, m1, m2 in itertools.product(range(5), repeat=4):
+        p = C.SupportPoint(m1, m2, *C.weight_at((l1, l2), m1, m2))
+        at = {"m1": m1, "m2": m2, "nu1": p.nu1, "nu2": p.nu2}
+        for key, text in texts.items():
+            got = (C.scalar_at(text, p) if key == "displayed"
+                   else C.closed_form_value(key, p))
+            assert got == expanded[key].evaluate(at), (key, l1, l2, m1, m2)
 
 
 def test_certify_small_examples():

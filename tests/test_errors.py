@@ -4,7 +4,7 @@ import pytest
 
 from pgl3dops.ring import (ParameterDerivative, ParseError, Poly, RatFunc,
                            VarTable, ZeroDenominator, parse_ratfunc)
-from pgl3dops.weyl import (Affine, Chart, ChartMap, DiffOp, ExpressFailure,
+from pgl3dops.weyl import (Chart, ChartMap, DiffOp, ExpressFailure,
                            PowerSection, SingularJacobian, express_as_multiple,
                            parse_operator, transport)
 
@@ -84,17 +84,23 @@ def test_singular_transport():
 
 def test_power_section_invariants():
     with pytest.raises(ZeroDenominator):
-        PowerSection(CH, T.one(), [(T.zero(), Affine.param("k"))])
+        PowerSection(CH, T.one(), [(T.zero(), T.var("k"))])
     with pytest.raises(ValueError):
         # constant base 2 with a symbolic exponent is not representable
-        PowerSection(CH, T.one(), [(T.const(2), Affine.param("k"))])
+        PowerSection(CH, T.one(), [(T.const(2), T.var("k"))])
     # constant base with a concrete exponent folds into the numerator
-    s = PowerSection(CH, T.one(), [(T.const(2), Affine(3))])
+    s = PowerSection(CH, T.one(), [(T.const(2), 3)])
     assert s.num == T.const(8)
+    # an exponent is a parameter polynomial over the section's own table
+    with pytest.raises(ValueError, match="not a polynomial in the parameters"):
+        PowerSection(CH, T.one(), [(T.var("x"), T.var("x"))])
+    other = VarTable(coords=("x", "y"), params=("k",))
+    with pytest.raises(ValueError, match="not a polynomial in the parameters"):
+        PowerSection(CH, T.one(), [(T.var("x"), other.var("k"))])
 
 
 def test_express_failures():
-    s = PowerSection(CH, T.one(), [(T.var("x"), Affine.param("k"))])
+    s = PowerSection(CH, T.one(), [(T.var("x"), T.var("k"))])
     with pytest.raises(ZeroDenominator):
         express_as_multiple(s, PowerSection(CH, T.zero()))
     bad = s.scale(X + Y)
@@ -104,7 +110,7 @@ def test_express_failures():
 
 
 def test_substitution_must_keep_bases_polynomial():
-    s = PowerSection(CH, T.one(), [(T.var("x"), Affine.param("k"))])
+    s = PowerSection(CH, T.one(), [(T.var("x"), T.var("k"))])
     inv = RatFunc.const(T, 1) / Y
     with pytest.raises(ValueError):
         s.substitute_coords({"x": inv + X}, CH)

@@ -6,7 +6,7 @@ import pytest
 
 from pgl3dops import pgl3 as P
 from pgl3dops.ring import RatFunc
-from pgl3dops.weyl import (Affine, PowerSection, commutator,
+from pgl3dops.weyl import (PowerSection, commutator,
                            express_as_multiple, op_apply, op_apply_section,
                            op_compose, parse_operator, regular_on, transport)
 
@@ -111,16 +111,15 @@ def test_d0_applied_through_both_charts():
 def test_sigma_weights_and_exponents():
     sig = P.monomial_section()
     nu1, nu2 = P.weight_exponents(P.sym_m1(), P.sym_m2())
-    t = P.MATRIX_TABLE
     for label, want in (("H1", nu1), ("H2", nu2)):
         w = express_as_multiple(
             P.apply_generator(P.Generator(label, "left"), sig), sig)
-        assert w == want.as_ratfunc(t)
+        assert w == RatFunc.from_poly(want)
     # right factor acts by -nu
     for label, want in (("H1", nu1), ("H2", nu2)):
         w = express_as_multiple(
             P.apply_generator(P.Generator(label, "right"), sig), sig)
-        assert w == (-want).as_ratfunc(t)
+        assert w == RatFunc.from_poly(-want)
     # the g33 exponent of sigma is lam1 + m1 - 2 m2
     g33_exp = [e for b, e in sig.factors if b == P.gvar(3, 3)]
     assert g33_exp == [nu2]
@@ -157,7 +156,8 @@ def test_case1_both_chart_routes():
     big = P.monomial_section_big()
     moved = op_apply_section(P.mixed_second_order_big(), big)
     tb = P.BIG_TABLE
-    assert express_as_multiple(moved, P.monomial_section_big(m1 - 1, m2 - 1)) \
+    lowered = P.monomial_section_big(tb.var("m1") - 1, tb.var("m2") - 1)
+    assert express_as_multiple(moved, lowered) \
         == RatFunc.var(tb, "m1") * RatFunc.var(tb, "m2")
 
 
@@ -202,10 +202,10 @@ def test_twisted_section_s1():
 
 def test_casimir_chi_values():
     t = P.MATRIX_TABLE
-    assert P.central_character(Affine(0), Affine(0)) == RatFunc.const(t, 0)
-    assert P.central_character(Affine(1), Affine(1)) == RatFunc.const(t, 1)
+    assert P.central_character(0, 0) == RatFunc.const(t, 0)
+    assert P.central_character(1, 1) == RatFunc.const(t, 1)
     # chi(2, 0) = 2/3 + 4/9 = 10/9
-    assert P.central_character(Affine(2), Affine(0)) == \
+    assert P.central_character(2, 0) == \
         RatFunc.const(t, Fraction(10, 9))
 
 
@@ -259,8 +259,8 @@ def test_weight_helpers():
     assert (nu1, nu2) == P.weight_exponents(P.sym_m1(), P.sym_m2(),
                                             (P.lam1(), P.lam2()))
     at = {"lam1": 3, "lam2": 1, "m1": 2, "m2": 1}
-    assert P.weight_exponents(2, 1, (3, 1)) == (nu1.evaluate(at),
-                                                nu2.evaluate(at))
+    assert tuple(e.constant_value() for e in P.weight_exponents(2, 1, (3, 1))) \
+        == (nu1.evaluate(at), nu2.evaluate(at))
 
 
 def test_monomial_section_at_a_weight():

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgl3dops.ring import Poly, RatFunc, VarTable, parse_ratfunc
+from pgl3dops.ring import (Poly, RatFunc, VarTable, evaluate_text,
+                           parse_ratfunc)
 
 TABLE = VarTable(coords=("x", "y"), params=("m",))
 
@@ -37,3 +38,28 @@ def test_divide_exact_inverts_multiplication(p, q):
 @given(polys, nonzero, nonzero)
 def test_fraction_equality_ignores_a_common_factor(n, d, h):
     assert RatFunc(n * h, d * h) == RatFunc(n, d)
+
+
+@SETTINGS
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p - p).is_zero()
+
+
+@SETTINGS
+@given(polys, st.one_of(st.integers(-20, 20), coeffs))
+def test_number_coercion_in_sums(p, n):
+    assert p + n == n + p == p + TABLE.const(n)
+    assert p - n == p + TABLE.const(-n)
+
+
+@SETTINGS
+@given(polys, st.tuples(coeffs, coeffs, coeffs))
+def test_evaluate_text_matches_evaluate(p, point):
+    values = dict(zip(TABLE.names, point))
+    assert evaluate_text(p.to_text(), values) == p.evaluate(values)

@@ -7,7 +7,7 @@ import pytest
 
 from pgl3dops import pgl3 as P
 from pgl3dops.ring import Poly, RatFunc, VarTable
-from pgl3dops.weyl import (Affine, Chart, ChartMap, DiffOp, ExpressFailure,
+from pgl3dops.weyl import (Chart, ChartMap, DiffOp, ExpressFailure,
                            PowerSection, ad_nilpotency_depth, commutator,
                            conjugate, express_as_multiple, op_apply,
                            op_apply_section, op_compose, parse_operator,
@@ -173,7 +173,7 @@ def test_roundtrip_checks():
 
 
 def test_symbolic_power_rule():
-    m1 = Affine.param("m1")
+    m1 = TABLE.var("m1")
     s = PowerSection(CHART, ONE, [(TABLE.var("x"), m1)])
     ds = s.derivative("x")
     # d(x^m1) = m1 x^(m1-1)
@@ -185,7 +185,7 @@ def test_symbolic_power_rule():
 
 def test_apply_section_reduces_to_apply():
     rng = random.Random(12)
-    k = Affine.param("k")
+    k = TABLE.var("k")
     s = PowerSection(CHART, X + Y, [(TABLE.var("x"), k)])
     for _ in range(6):
         A = rand_op(rng)
@@ -200,7 +200,7 @@ def test_apply_section_reduces_to_apply():
 
 
 def test_conjugate_single_log_derivative():
-    k = Affine.param("k")
+    k = TABLE.var("k")
     s = PowerSection(CHART, ONE, [(TABLE.var("x"), k)])
     conj = conjugate(DX, s)
     expected = DX + DiffOp.multiplication(CHART, RatFunc.var(TABLE, "k") / X)
@@ -208,8 +208,8 @@ def test_conjugate_single_log_derivative():
 
 
 def test_conjugate_by_one_and_composition():
-    s = PowerSection(CHART, ONE, [(TABLE.var("x"), Affine.param("k")),
-                                  (TABLE.var("y") + TABLE.one(), Affine.param("m1"))])
+    s = PowerSection(CHART, ONE, [(TABLE.var("x"), TABLE.var("k")),
+                                  (TABLE.var("y") + TABLE.one(), TABLE.var("m1"))])
     rng = random.Random(14)
     assert conjugate(rand_op(rng), PowerSection.one(CHART)) == rand_op(rng) or True
     A = rand_op(rng)
@@ -221,8 +221,8 @@ def test_conjugate_by_one_and_composition():
 
 def test_express_as_multiple():
     table = TABLE
-    m1 = Affine.param("m1")
-    sig = PowerSection(CHART, ONE, [(table.var("x"), m1), (table.var("y"), Affine(2))])
+    m1 = TABLE.var("m1")
+    sig = PowerSection(CHART, ONE, [(table.var("x"), m1), (table.var("y"), 2)])
     scaled = sig.scale(RatFunc.var(table, "m1") * RatFunc.var(table, "k"))
     c = express_as_multiple(scaled, sig)
     assert c == RatFunc.var(table, "m1") * RatFunc.var(table, "k")
@@ -236,7 +236,7 @@ def test_express_as_multiple():
 
 
 def test_express_handles_integer_exponent_shift():
-    m1 = Affine.param("m1")
+    m1 = TABLE.var("m1")
     s = PowerSection(CHART, ONE, [(TABLE.var("x"), m1 + 1)])
     t = PowerSection(CHART, ONE, [(TABLE.var("x"), m1)])
     with pytest.raises(ExpressFailure):
