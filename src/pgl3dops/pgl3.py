@@ -507,17 +507,31 @@ def casimir_operator() -> DiffOp:
 
 
 def casimir_apply(s: PowerSection) -> PowerSection:
-    """Apply the Casimir to a section by iterated first-order actions."""
+    """Apply the Casimir to a section by iterated first-order actions.
+
+    C = (H1 + H2)/3 + (H1^2 + H2^2 + H1 H2)/9 + (Y1 X1 + Y2 X2 + Y3 X3)/3
+    has thirds and ninths, which would put Fraction coefficients into every
+    product of the later actions.  So the numerator is split as c * p with p
+    integer-primitive, the integer operator
+    9C = 3(H1 + H2) + (H1^2 + H2^2 + H1 H2) + 3(Y1 X1 + Y2 X2 + Y3 X3)
+    is applied to the section with numerator p (the 11 first-order actions
+    still go through ``apply_generator``), and c/9 is applied once at the
+    end.
+    """
+    if s.is_zero():
+        return s
+    prim, c = s.num.primitive()
+    p = PowerSection(s.chart, prim, s.factors)
+
     def ap(label, t):
         return apply_generator(Generator(label, "left"), t)
 
-    h1, h2 = ap("H1", s), ap("H2", s)
-    third, ninth = Fraction(1, 3), Fraction(1, 9)
-    out = (h1 + h2).scale(third)
-    out = out + (ap("H1", h1) + ap("H2", h2) + ap("H1", h2)).scale(ninth)
-    out = out + (ap("Y1", ap("X1", s)) + ap("Y2", ap("X2", s))
-                 + ap("Y3", ap("X3", s))).scale(third)
-    return out
+    h1, h2 = ap("H1", p), ap("H2", p)
+    out = (h1 + h2).scale(3)
+    out = out + (ap("H1", h1) + ap("H2", h2) + ap("H1", h2))
+    out = out + (ap("Y1", ap("X1", p)) + ap("Y2", ap("X2", p))
+                 + ap("Y3", ap("X3", p))).scale(3)
+    return out.scale(c / 9)
 
 
 def central_character(mu1, mu2) -> RatFunc:

@@ -47,16 +47,19 @@ class ZeroDenominator(ZeroDivisionError):
 
 
 def _num(value) -> Number:
-    """Normalise a rational scalar: Fraction with denominator 1 becomes int."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
+    """Normalise a rational scalar: Fraction with denominator 1 becomes int.
+
+    Exact types are tested first: ``isinstance(3, Fraction)`` goes through
+    ``ABCMeta.__instancecheck__``, which was a visible share of every profile."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
     return value
 
 
 def _frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class VarTable:
@@ -119,7 +122,7 @@ class VarTable:
         return tuple((key >> s) & m for s in self.shifts)
 
     def const(self, value) -> "Poly":
-        value = _num(_frac(value))
+        value = value if type(value) is int else _num(_frac(value))
         if value == 0:
             return Poly(self, {})
         return Poly(self, {0: value})
@@ -274,7 +277,8 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset((k, _frac(c)) for k, c in self.terms.items()))
+        # equal ints and Fractions hash alike
+        return hash(frozenset(self.terms.items()))
 
     # -- calculus -------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .ring import (Number, Poly, RatFunc, VarTable, ZeroDenominator, _frac,
+from .ring import (Number, Poly, RatFunc, VarTable, ZeroDenominator,
                    _parse_factor, _table_atom, _Tokens, ParseError)
 
 MultiIndex = tuple[int, ...]
@@ -433,7 +433,9 @@ def _divide_out(p: Poly, base: Poly) -> tuple[Poly, int]:
 
 
 def _base_key(p: Poly):
-    return tuple(sorted((exp, _frac(c)) for exp, c in p.terms.items()))
+    # exponent keys are unique, and equal ints and Fractions compare and hash
+    # alike, so the stored coefficient type does not split a base
+    return tuple(sorted(p.terms.items()))
 
 
 def _integer(e: Poly) -> int | None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pgl3dops.ring import (ParameterDerivative, ParseError, Poly, RatFunc,
+from pgl3dops.ring import (ParameterDerivative, ParseError, RatFunc,
                            VarTable, ZeroDenominator, parse_ratfunc)
 from pgl3dops.weyl import (Chart, ChartMap, DiffOp, ExpressFailure,
                            PowerSection, SingularJacobian, express_as_multiple,

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level private name of the package is used,
-and so is every function name and every public constant of the reference
-displays."""
+and so is every function name, every public constant of the reference
+displays and every import of the package and the tests."""
 
 import ast
 import re
@@ -99,3 +99,37 @@ def unreferenced_function_names(src=SRC, others=(TESTS, PERFBENCH)):
 
 def test_no_unreferenced_function_names():
     assert unreferenced_function_names() == []
+
+
+def unused_imports(dirs=(SRC, TESTS)):
+    """file:line name for each name an import binds that its module never
+    loads, reads as the base of an attribute or lists in ``__all__``.  An
+    import marked ``# noqa: F401`` is kept on purpose and exempt."""
+    out = []
+    for path in [p for d in dirs for p in sorted(d.glob("*.py"))]:
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)):
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    out.append(f"{path.parent.name}/{path.name}:"
+                               f"{node.lineno} {name}")
+    return out
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

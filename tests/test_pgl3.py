@@ -2,13 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
-
+from pgl3dops import certify as CERT
 from pgl3dops import pgl3 as P
-from pgl3dops.ring import RatFunc
+from pgl3dops.ring import Poly, RatFunc
 from pgl3dops.weyl import (PowerSection, commutator,
                            express_as_multiple, op_apply, op_apply_section,
-                           op_compose, parse_operator, regular_on, transport)
+                           op_compose, parse_operator, regular_on)
 
 ONE = RatFunc.const(P.MATRIX_TABLE, 1)
 
@@ -214,6 +213,42 @@ def test_casimir_eigenvalue_on_sections():
     nu = P.weight_exponents(P.sym_m1(), P.sym_m2())
     assert express_as_multiple(P.casimir_apply(sig), sig) == \
         P.central_character(*nu)
+
+
+def test_casimir_chain_stays_integral(monkeypatch):
+    # the Casimir factors of a move act on integer-primitive numerators, so
+    # no product inside a first-order action sees a Fraction coefficient
+    state = {"depth": 0, "products": 0, "fraction": 0}
+    apply_generator, mul = P.apply_generator, Poly.__mul__
+
+    def counted_generator(gen, s):
+        state["depth"] += 1
+        try:
+            return apply_generator(gen, s)
+        finally:
+            state["depth"] -= 1
+
+    def counted_mul(a, b):
+        if state["depth"]:
+            state["products"] += 1
+            state["fraction"] += any(type(c) is Fraction for q in (a, b)
+                                     for c in q.terms.values())
+        return mul(a, b)
+
+    monkeypatch.setattr(P, "apply_generator", counted_generator)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    scalar = CERT.move_scalar("3a", (1, 2), (3, 2))
+    monkeypatch.undo()
+    assert scalar.constant_value() == Fraction(-224, 9)
+    assert state["products"] > 0 and state["fraction"] == 0
+
+    # negative, non-integral content goes back on once, exactly
+    sig = P.monomial_section(1, 2, (3, 2))
+    chi = P.central_character(*P.weight_exponents(1, 2, (3, 2)))
+    k = Fraction(-7, 3)
+    assert P.casimir_apply(sig.scale(k)) == sig.scale(k * chi.constant_value())
+    zero = sig.scale(0)
+    assert P.casimir_apply(zero) is zero
 
 
 def test_casimir_centrality_spot():

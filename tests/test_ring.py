@@ -171,6 +171,16 @@ def test_exact_quotient_cancels_at_any_size():
         assert f.to_text() == p.to_text()
 
 
+def test_const_stores_integers_as_int():
+    # an integral constant is stored as an int, whatever type it came in
+    for value in (3, Fraction(6, 2)):
+        [(key, c)] = TABLE.const(value).terms.items()
+        assert key == 0 and c == 3 and type(c) is int
+    [(_, c)] = TABLE.const(Fraction(1, 2)).terms.items()
+    assert c == Fraction(1, 2)
+    assert TABLE.const(0).is_zero() and TABLE.const(Fraction(0)).is_zero()
+
+
 def test_packed_exponent_overflow_raises():
     # exponents are packed 16 bits per variable and must stay below 2^15;
     # each of these used to wrap into the neighbouring variable

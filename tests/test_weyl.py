@@ -183,6 +183,20 @@ def test_symbolic_power_rule():
     assert ds.same_factors(s)  # exponents differ by a concrete integer
 
 
+def test_int_and_fraction_coefficients_name_one_base():
+    # the same base stored with int coefficients and with Fraction(n, 1)
+    # coefficients (packed keys are stored as given) is one factor
+    x, y, k = TABLE.var("x"), TABLE.var("y"), TABLE.var("k")
+    base = x + y.scale(2)
+    as_fractions = Poly(TABLE, {key: Fraction(c) for key, c in base.terms.items()})
+    assert [type(c) for c in as_fractions.terms.values()] == [Fraction] * 2
+    assert as_fractions == base and hash(as_fractions) == hash(base)
+    s = PowerSection(CHART, ONE, [(base, k), (as_fractions, 3)])
+    assert len(s.factors) == 1
+    assert s.factors[0][1] == k + 3
+    assert s == PowerSection(CHART, ONE, [(base, k + 3)])
+
+
 def test_apply_section_reduces_to_apply():
     rng = random.Random(12)
     k = TABLE.var("k")
