@@ -44,16 +44,16 @@ from . import pgl3 as P
 
 @dataclass(frozen=True)
 class Move:
-    """The (m1, m2) step, the Weyl twist of the descent (None: untwisted) and
-    the Casimir factors c - chi(nu + d), listed by their offsets d."""
+    """The (m1, m2) step, the Weyl twist of the descent and the Casimir
+    factors c - chi(nu + d), listed by their offsets d."""
 
     step: tuple[int, int]
-    weyl: P.WeylElement | None
+    weyl: P.WeylElement
     shifts: tuple[tuple[int, int], ...]
 
 
 MOVES = {
-    "1": Move((-1, -1), None, ()),
+    "1": Move((-1, -1), P.W_E, ()),
     "2a": Move((-1, 0), P.W_S2, ((1, 1),)),
     "2b": Move((0, -1), P.W_S1, ((1, 1),)),
     "3a": Move((1, 0), P.W_S1S2,
@@ -156,10 +156,7 @@ def apply_move(case: str, s: PowerSection, f: PowerSection, nu) -> PowerSection:
     polynomials over the matrix table), with f the trivialising section of
     the same weight parameters."""
     move = MOVES[case]
-    if move.weyl is None:
-        out = P.apply_descent(s, f)
-    else:
-        out = P.apply_twisted_descent(s, move.weyl, f)
+    out = P.apply_descent(s, move.weyl, f)
     for d1, d2 in move.shifts:
         chi = P.central_character(nu[0] + d1, nu[1] + d2)
         out = P.casimir_apply(out) + out.scale(-chi)

@@ -411,7 +411,7 @@ def check_twist_section_example(cfg):
 def check_twist_descent_example(cfg):
     # D^{s1} sigma = m2 ( m1 U12 U21 sigma_{nu+rho} + (m1 + nu1) sigma_{nu+a2} )
     sig = P.monomial_section()
-    out = P.apply_twisted_descent(sig, P.W_S1)
+    out = P.apply_descent(sig, P.W_S1, P.canonical_section())
     m1, m2 = P.sym_m1(), P.sym_m2()
     s_rho = P.monomial_section(m1 - 1, m2 - 1)
     s_a2 = P.monomial_section(m1, m2 - 1)
@@ -448,7 +448,7 @@ def check_twist_bracket_table(cfg):
 def check_twist_operator_identity(cfg):
     rng = random.Random(cfg.seed)
     d0 = P.mixed_second_order_matrix()
-    for w in (P.W_E, P.W_S1, P.W_S1S2):
+    for w in (P.W_E, P.W_S1, P.W_S1S2, P.W_S2, P.W_S2S1, P.W_LONG):
         M = P.weyl_substitution(w)
         tw = P.twist_operator(d0, w)
         if w.label == "e" and tw != d0:

@@ -27,7 +27,7 @@ from . import certify as CERT
 from . import checks as CK
 from . import conics as CON
 from . import pgl3 as P
-from .ring import parse_ratfunc
+from .ring import ParseError, ZeroDenominator, parse_ratfunc
 from .weyl import op_apply, op_compose, parse_operator
 
 CHARTS = {
@@ -108,15 +108,20 @@ def _cmd_concordance(args) -> int:
 
 def _cmd_op(args) -> int:
     chart = CHARTS[args.chart]
+    try:
+        a = parse_operator(args.expr[0], chart)
+        if args.action == "compose":
+            b = parse_operator(args.expr[1], chart)
+        elif args.action == "apply":
+            f = parse_ratfunc(args.expr[1], chart.table)
+    except (ParseError, ZeroDenominator, OverflowError) as exc:
+        print(f"op {args.action}: {exc}", file=sys.stderr)
+        return 2
     if args.action == "print":
-        print(parse_operator(args.expr[0], chart).to_text())
+        print(a.to_text())
     elif args.action == "compose":
-        a = parse_operator(args.expr[0], chart)
-        b = parse_operator(args.expr[1], chart)
         print(op_compose(a, b).to_text())
-    elif args.action == "apply":
-        a = parse_operator(args.expr[0], chart)
-        f = parse_ratfunc(args.expr[1], chart.table)
+    else:
         print(op_apply(a, f).to_text())
     return 0
 

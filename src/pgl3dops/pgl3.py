@@ -433,17 +433,17 @@ def apply_generator(gen: Generator, s: PowerSection) -> PowerSection:
     return op_apply_section(action_field_matrix(gen), s)
 
 
-def apply_descent(s: PowerSection, trivialization: PowerSection | None = None
-                  ) -> PowerSection:
-    """The twisted order-2 operator on sections: conjugate the mixed
-    derivative by the canonical section.
+def apply_descent(s: PowerSection, w: WeylElement,
+                  f: PowerSection) -> PowerSection:
+    """The w-twisted order-2 operator on sections, w ( D ( w^{-1} s / f ) f ).
 
-    The trivialising section must carry the same weight parameters as ``s``
-    (symbolic by default; pass the specialised canonical section when ``s``
-    has concrete lam values).
+    f is the trivialising section with the same weight parameters as ``s``
+    (``canonical_section()`` when they are symbolic).  g -> w^{-1} g w acts on
+    functions and on operators alike, so this is (w D w^{-1})(s / wf) wf: the
+    operator is twisted once per Weyl element and only f is twisted here.
     """
-    f = trivialization if trivialization is not None else canonical_section()
-    return op_apply_section(mixed_second_order_matrix(), s / f) * f
+    wf = twist_section(f, w)
+    return op_apply_section(descent_operator(w), s / wf) * wf
 
 
 # -- twisted operators (coefficient side, big-cell trivialisation) ----------------------
@@ -575,15 +575,13 @@ def twist_operator(D: DiffOp, w: WeylElement) -> DiffOp:
 
 def twist_section(s: PowerSection, w: WeylElement) -> PowerSection:
     """Diagonal Weyl twist of a section (substitute g -> w^{-1} g w everywhere)."""
-    return s.substitute_coords(_conjugation_formulas(w), MATRIX)
+    return s.substitute_coords(_conjugation_formulas(w))
 
 
-def apply_twisted_descent(s: PowerSection, w: WeylElement,
-                          trivialization: PowerSection | None = None
-                          ) -> PowerSection:
-    """The w-twisted order-2 operator on sections: w ( D ( w^{-1} s ) )."""
-    inner = apply_descent(twist_section(s, w.inverse()), trivialization)
-    return twist_section(inner, w)
+@lru_cache(maxsize=None)
+def descent_operator(w: WeylElement) -> DiffOp:
+    """The order-2 operator twisted by w, w D w^{-1}."""
+    return twist_operator(mixed_second_order_matrix(), w)
 
 
 # -- twisted-operator globality data ------------------------------------------------------------

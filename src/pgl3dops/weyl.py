@@ -664,34 +664,20 @@ class PowerSection:
             self.chart, self.num.substitute(mapping).as_poly(),
             [(b, e.substitute(mapping).as_poly()) for b, e in self.factors])
 
-    def substitute_coords(self, mapping: Mapping[str, RatFunc],
-                          chart: Chart) -> "PowerSection":
-        """Coordinate substitution; bases must stay polynomial up to scale,
-        and ``chart`` must share this section's table (the exponents')."""
-        pre = self.num.substitute(mapping)
+    def substitute_coords(self, mapping: Mapping[str, RatFunc]
+                          ) -> "PowerSection":
+        """Coordinate substitution on this section's chart.  Every base must
+        stay a polynomial: a normalised image keeps a denominator only if it
+        does not divide the numerator.  A base that vanishes raises
+        ``ZeroDenominator`` in the constructor."""
         factors = []
         for base, exp in self.factors:
             image = base.substitute(mapping)
-            den = image.den
-            if not den.is_constant():
-                q = image.num.divide_exact(den)
-                if q is None:
-                    raise ValueError(
-                        f"base {base.to_text()} is not polynomial after substitution")
-                image = RatFunc.from_poly(q)
-            newbase = image.num
-            scalar = Fraction(1, 1) / image.den.constant_value()
-            if newbase.is_zero():
-                raise ZeroDenominator(
-                    f"base {base.to_text()} vanishes identically after substitution")
-            if scalar != 1:
-                if (n := _integer(exp)) is None:
-                    raise ValueError(
-                        f"base {base.to_text()} rescales by {scalar} under "
-                        f"substitution but has symbolic exponent {exp.to_text()}")
-                pre = pre * RatFunc.const(pre.table, scalar ** n)
-            factors.append((newbase, exp))
-        return PowerSection(chart, pre, factors)
+            if not image.is_poly():
+                raise ValueError(
+                    f"base {base.to_text()} is not polynomial after substitution")
+            factors.append((image.num, exp))
+        return PowerSection(self.chart, self.num.substitute(mapping), factors)
 
     def reduce_num(self) -> "PowerSection":
         """Move base factors of the numerator back into the exponents.
@@ -841,14 +827,15 @@ def _parse_op_product(toks: _Tokens, chart: Chart) -> DiffOp:
     seen_derivative = False
     while True:
         tok = toks.peek()
-        if tok is None or tok in ("+", "-"):
-            break
-        if tok == "*":
-            toks.next()
-            continue
+        if tok is None or tok in ("+", "-", "*"):
+            raise ParseError("expected a factor, got "
+                             + ("end of input" if tok is None else repr(tok)))
         if tok.startswith("d/d"):
             toks.next()
             name = tok[3:]
+            if name not in chart.coords:
+                raise ParseError(f"{tok}: {name!r} is not a coordinate "
+                                 f"of {chart!r}")
             power = 1
             if toks.peek() == "^":
                 toks.next()
@@ -865,6 +852,11 @@ def _parse_op_product(toks: _Tokens, chart: Chart) -> DiffOp:
             # a scalar factor: parse one multiplicative factor
             factor = _parse_scalar_factor(toks, table)
             coeff = coeff * factor
+        tok = toks.peek()
+        if tok is None or tok in ("+", "-"):
+            break
+        if tok == "*":
+            toks.next()
     return DiffOp(chart, {tuple(index): coeff})
 
 

@@ -129,6 +129,17 @@ def test_op_wrong_arity(capsys):
     assert code == 2
 
 
+def test_op_unreadable_expression(capsys):
+    for argv in (["op", "print", "g11 + + d/dg11"],
+                 ["op", "print", "g11/0 * d/dg11"],
+                 ["op", "compose", "d/dg11", "g11 *"],
+                 ["op", "apply", "d/dg11", "g11/0"],
+                 ["op", "apply", "d/dg11", "g11^70000"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"op {argv[1]}: ") and err.count("\n") == 1, err
+
+
 def test_usage_error_exit_two():
     for argv in (["verify", "nonsense"],
                  ["verify", "cases", "--grid", "-1"],

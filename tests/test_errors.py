@@ -53,6 +53,11 @@ def test_parse_errors():
         parse_operator("d/dx * x", CH)    # coefficient right of a derivative
     with pytest.raises(ParseError):
         parse_operator("x / d/dx", CH)
+    # an empty term, a dangling product sign, d/d of a non-coordinate
+    for text in ("x +", "-", "x + + d/dx", "x *", "* x", "x * * d/dx",
+                 "d/dk", "d/dz"):
+        with pytest.raises(ParseError):
+            parse_operator(text, CH)
 
 
 def test_chart_invariants():
@@ -113,4 +118,6 @@ def test_substitution_must_keep_bases_polynomial():
     s = PowerSection(CH, T.one(), [(T.var("x"), T.var("k"))])
     inv = RatFunc.const(T, 1) / Y
     with pytest.raises(ValueError):
-        s.substitute_coords({"x": inv + X}, CH)
+        s.substitute_coords({"x": inv + X})
+    with pytest.raises(ZeroDenominator):
+        s.substitute_coords({"x": RatFunc.const(T, 0)})

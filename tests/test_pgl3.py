@@ -147,7 +147,7 @@ def test_twist_corrections_displayed():
 def test_case1_both_chart_routes():
     m1, m2 = P.sym_m1(), P.sym_m2()
     target = P.monomial_section(m1 - 1, m2 - 1)
-    out = P.apply_descent(P.monomial_section())
+    out = P.apply_descent(P.monomial_section(), P.W_E, P.canonical_section())
     t = P.MATRIX_TABLE
     assert express_as_multiple(out, target) == \
         RatFunc.var(t, "m1") * RatFunc.var(t, "m2")
@@ -167,7 +167,7 @@ def test_apply_descent_on_powers():
         vals = {"lam1": l1, "lam2": l2, "m1": m1v, "m2": m2v}
         sig = P.monomial_section(m1v, m2v).substitute_params(vals)
         f = P.canonical_section().substitute_params(vals)
-        out = P.apply_descent(sig, f)
+        out = P.apply_descent(sig, P.W_E, f)
         target = P.monomial_section(m1v - 1, m2v - 1).substitute_params(vals)
         assert express_as_multiple(out, target).constant_value() == m1v * m2v
 
@@ -188,6 +188,30 @@ def test_twist_by_identity():
     assert P.twist_operator(d0, P.W_E) == d0
     sig = P.monomial_section(1, 2)
     assert P.twist_section(sig, P.W_E) == sig
+
+
+WEYL_ELEMENTS = (P.W_E, P.W_S1, P.W_S2, P.W_S1S2, P.W_S2S1, P.W_LONG)
+
+
+def test_one_descent_matches_the_twist_sandwich():
+    # oracle: twist the section back, apply the untwisted descent, twist again
+    def sandwich(s, w, f):
+        inner = P.apply_descent(P.twist_section(s, w.inverse()), P.W_E, f)
+        return P.twist_section(inner, w)
+
+    assert P.descent_operator(P.W_E) == P.mixed_second_order_matrix()
+    sig, f = P.monomial_section(), P.canonical_section()
+    for w in WEYL_ELEMENTS:
+        assert P.apply_descent(sig, w, f) == sandwich(sig, w, f), w.label
+    # concrete points; the last has nu = (1, 1), where the w0 move starts
+    assert CERT.weight_at((2, 2), 1, 1) == (1, 1)
+    for lam, m, ws in (((3, 2), (1, 1), WEYL_ELEMENTS),
+                       ((4, 1), (2, 0), WEYL_ELEMENTS),
+                       ((2, 2), (1, 1), (P.W_LONG,))):
+        s = P.monomial_section(*m, lam)
+        f = P.monomial_section(0, 0, lam)
+        for w in ws:
+            assert P.apply_descent(s, w, f) == sandwich(s, w, f), (lam, m, w.label)
 
 
 def test_twisted_section_s1():
@@ -278,7 +302,8 @@ def test_conjugate_route_reproduces_descent():
     conj = conjugate(P.mixed_second_order_matrix(),
                      P.canonical_section().inverse())
     sig = P.monomial_section()
-    assert op_apply_section(conj, sig) == P.apply_descent(sig)
+    assert op_apply_section(conj, sig) == \
+        P.apply_descent(sig, P.W_E, P.canonical_section())
 
 
 def test_twisted_cross_factor_brackets_vanish():
