@@ -71,6 +71,11 @@ class SupportPoint:
     nu1: int
     nu2: int
 
+    @classmethod
+    def at(cls, lam: tuple[int, int], m1: int, m2: int) -> SupportPoint:
+        """The point m = (m1, m2) of the weight lam, dominant or not."""
+        return cls(m1, m2, *weight_at(lam, m1, m2))
+
     @property
     def m(self) -> tuple[int, int]:
         return (self.m1, self.m2)
@@ -132,9 +137,9 @@ def dominant_support(lam: tuple[int, int]) -> list[SupportPoint]:
     bound = max(l1 + l2, 0)
     for m1 in range(bound + 1):
         for m2 in range(bound + 1):
-            nu1, nu2 = weight_at(lam, m1, m2)
-            if nu1 >= 0 and nu2 >= 0:
-                out.append(SupportPoint(m1, m2, nu1, nu2))
+            p = SupportPoint.at(lam, m1, m2)
+            if p.nu1 >= 0 and p.nu2 >= 0:
+                out.append(p)
     out.sort(key=lambda p: (p.m1 + p.m2, p.m1))
     return out
 
@@ -177,25 +182,15 @@ def move_scalar(case: str, m, lam=None) -> RatFunc:
         out, P.monomial_section(m[0] + dm1, m[1] + dm2, lam))
 
 
-class CaseUnavailable(ValueError):
-    """The requested move's precondition fails at this support point."""
+def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str) -> Fraction:
+    """Exact scalar of the case move at p, by applying the actual operators.
 
-
-def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str,
-                check_preconditions: bool = True) -> Fraction:
-    """Exact scalar of the case move, by applying the actual operators.
-
-    With ``check_preconditions=False`` the move is evaluated as a pure
-    algebraic identity even where the certificate-level preconditions
-    (m >= 1 for lowering moves) fail; the scalar then comes out zero.
+    The move is evaluated as an algebraic identity: a lowering move at
+    m = 0 gives 0, and case 4 away from nu = (1, 1) raises ExpressFailure.
+    Which moves a certificate may use is decided by its support.
     """
     if case not in MOVES:
         raise ValueError(f"unknown case {case!r}")
-    dm1, dm2 = MOVES[case].step
-    if check_preconditions and (p.m1 + dm1 < 0 or p.m2 + dm2 < 0):
-        raise CaseUnavailable(f"case {case} needs m >= 1 at {p.m}")
-    if case == "4" and (p.nu1, p.nu2) != (1, 1):
-        raise CaseUnavailable("case 4 moves only the nu = (1,1) point")
     return move_scalar(case, p.m, lam).constant_value()
 
 
@@ -334,10 +329,9 @@ def validate_certificate(cert: Certificate) -> list[str]:
     expected = set()
     for m1 in range(max(l1 + l2, 0) + 1):
         for m2 in range(max(l1 + l2, 0) + 1):
-            nu1 = l2 - 2 * m1 + m2
-            nu2 = l1 + m1 - 2 * m2
-            if nu1 >= 0 and nu2 >= 0:
-                expected.add((m1, m2))
+            q = SupportPoint.at(cert.lam, m1, m2)
+            if q.nu1 >= 0 and q.nu2 >= 0:
+                expected.add(q.m)
     got = {p.m for p in cert.support}
     if expected != got:
         problems.append(f"support mismatch: {sorted(expected ^ got)}")
@@ -351,7 +345,7 @@ def validate_certificate(cert: Certificate) -> list[str]:
     for p in cert.support:
         if p.nu1 < 0 or p.nu2 < 0:
             problems.append(f"non-dominant support point {p}")
-        if (p.nu1, p.nu2) != weight_at(cert.lam, p.m1, p.m2):
+        if p != SupportPoint.at(cert.lam, p.m1, p.m2):
             problems.append(f"wrong weight at {p.m}")
     for e in cert.edges:
         if e.scalar == 0:
@@ -366,7 +360,7 @@ def validate_certificate(cert: Certificate) -> list[str]:
             problems.append(f"edge target inconsistent with case: {e}")
         if e.closed_form != CLOSED_FORMS[e.case]:
             problems.append(f"closed form of case {e.case} misprinted on {e}")
-        point = SupportPoint(*e.source, *weight_at(cert.lam, *e.source))
+        point = SupportPoint.at(cert.lam, *e.source)
         if e.case == "4" and (point.nu1, point.nu2) != (1, 1):
             problems.append(f"case 4 edge away from nu = (1,1): {e}")
         want = closed_form_value(e.case, point)

@@ -634,11 +634,9 @@ def check_case2b_interpolation(cfg):
     values = {}
     for pt in itertools.product(*(range(degrees[n] + 1) for n in names)):
         vals = dict(zip(names, pt))
-        p = CERT.SupportPoint(vals["m1"], vals["m2"],
-                              *CERT.weight_at((vals["lam1"], vals["lam2"]),
-                                              vals["m1"], vals["m2"]))
-        values[pt] = CERT.case_scalar((vals["lam1"], vals["lam2"]), p, "2b",
-                                      check_preconditions=False)
+        lam = (vals["lam1"], vals["lam2"])
+        p = CERT.SupportPoint.at(lam, vals["m1"], vals["m2"])
+        values[pt] = CERT.case_scalar(lam, p, "2b")
     poly = lagrange_interpolate(values, names, tuple(degrees[n] for n in names),
                                 P.MATRIX_TABLE)
     sym = _sym_case_scalar("2b")
@@ -648,11 +646,9 @@ def check_case2b_interpolation(cfg):
     rng = random.Random(cfg.seed)
     for _ in range(3):
         vals = {n: rng.randint(degrees[n] + 1, degrees[n] + 4) for n in names}
-        p = CERT.SupportPoint(vals["m1"], vals["m2"],
-                              *CERT.weight_at((vals["lam1"], vals["lam2"]),
-                                              vals["m1"], vals["m2"]))
-        direct = CERT.case_scalar((vals["lam1"], vals["lam2"]), p, "2b",
-                                  check_preconditions=False)
+        lam = (vals["lam1"], vals["lam2"])
+        p = CERT.SupportPoint.at(lam, vals["m1"], vals["m2"])
+        direct = CERT.case_scalar(lam, p, "2b")
         if poly.evaluate(vals) != direct:
             return "fail", f"interpolant wrong outside the grid at {vals}"
     return "pass", ("grid interpolation (degree bounds 1,3,3,4) recovers the "
@@ -667,10 +663,10 @@ def _grid_scalars(cfg, case, keep):
     """
     checked = []
     for l1, l2, m1, m2 in _grid_points(cfg.grid):
-        p = CERT.SupportPoint(m1, m2, *CERT.weight_at((l1, l2), m1, m2))
+        p = CERT.SupportPoint.at((l1, l2), m1, m2)
         if not keep(p):
             continue
-        got = CERT.case_scalar((l1, l2), p, case, check_preconditions=False)
+        got = CERT.case_scalar((l1, l2), p, case)
         want = CERT.closed_form_value(case, p)
         if got != want:
             return (f"engine {got} vs closed form {want} at "
@@ -722,7 +718,7 @@ def check_case_signs(cfg):
     # the sign remarks of the display versus the computed scalars
     notes = []
     # case 2b: computed scalar is <= 0, zero exactly when nu1 = 0
-    boundary = CERT.SupportPoint(1, 1, *CERT.weight_at((1, 1), 1, 1))
+    boundary = CERT.SupportPoint.at((1, 1), 1, 1)
     got = CERT.case_scalar((1, 1), boundary, "2b")
     # the display claims that minus its case-2 scalar is positive for m2 >= 1
     claimed_positive = -CERT.scalar_at(REF.CASE2B_SCALAR_DISPLAYED, boundary)
@@ -731,7 +727,7 @@ def check_case_signs(cfg):
                      "the displayed positivity bound is nonzero there; with "
                      "the corrected closed form the move is exactly "
                      "unavailable when the target leaves the dominant cone")
-    p3 = CERT.SupportPoint(1, 1, *CERT.weight_at((1, 3), 1, 1))
+    p3 = CERT.SupportPoint.at((1, 3), 1, 1)
     r = CERT.case_scalar((1, 3), p3, "3a")
     if r < 0:
         notes.append(f"case 3 scalar is negative (example r = {r} at "
@@ -985,7 +981,7 @@ def concordance_items() -> list[dict]:
                        REF.CASE2B_SCALAR_ENGINE if c2 == eng2 else c2.to_text(),
                        None if c2 == ref2 else (c2 - ref2).to_text()))
     # case 3: displayed product (verified against the engine on grids)
-    p = CERT.SupportPoint(1, 1, *CERT.weight_at((1, 3), 1, 1))
+    p = CERT.SupportPoint.at((1, 3), 1, 1)
     r_eng = CERT.case_scalar((1, 3), p, "3a")
     r_ref = CERT.closed_form_value("3a", p)
     items.append(_item("cases.3a.scalar", REF.CASE3A_SCALAR_DISPLAYED,
@@ -995,7 +991,7 @@ def concordance_items() -> list[dict]:
                        f"computed r = {r_eng} < 0 at nu=(2,0), m=(1,1)",
                        "sign remark disagrees (nonzero-ness is unaffected)"))
     c4sym = REF.rf_matrix(REF.CASE4_SCALAR)
-    p4 = CERT.SupportPoint(0, 0, 1, 1)
+    p4 = CERT.SupportPoint.at((1, 1), 0, 0)
     got4 = CERT.case_scalar((1, 1), p4, "4")
     items.append(_item("cases.4.scalar", REF.CASE4_SCALAR,
                        CERT.CLOSED_FORMS["4"],

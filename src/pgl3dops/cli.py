@@ -110,19 +110,16 @@ def _cmd_op(args) -> int:
     chart = CHARTS[args.chart]
     try:
         a = parse_operator(args.expr[0], chart)
-        if args.action == "compose":
-            b = parse_operator(args.expr[1], chart)
-        elif args.action == "apply":
-            f = parse_ratfunc(args.expr[1], chart.table)
+        if args.action == "print":
+            out = a
+        elif args.action == "compose":
+            out = op_compose(a, parse_operator(args.expr[1], chart))
+        else:
+            out = op_apply(a, parse_ratfunc(args.expr[1], chart.table))
     except (ParseError, ZeroDenominator, OverflowError) as exc:
         print(f"op {args.action}: {exc}", file=sys.stderr)
         return 2
-    if args.action == "print":
-        print(a.to_text())
-    elif args.action == "compose":
-        print(op_compose(a, b).to_text())
-    else:
-        print(op_apply(a, f).to_text())
+    print(out.to_text())
     return 0
 
 

@@ -552,15 +552,14 @@ class RatFunc:
     def scale(self, k) -> "RatFunc":
         return RatFunc(self.num.scale(k), self.den, normalise=False)
 
+    # equality is by cross multiplication, so no hash can agree with it and
+    # RatFunc stays unhashable
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:
-        raise TypeError("RatFunc is unhashable (equality is by cross multiplication)")
 
     # -- calculus -----------------------------------------------------------------
 
@@ -645,9 +644,10 @@ class _Tokens:
             elif ch in "+-*/^()":
                 self.toks.append(ch)
                 i += 1
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
+                # ASCII only: str.isdigit also accepts "²", which int() rejects
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 self.toks.append(text[i:j])
                 i = j

@@ -156,9 +156,6 @@ class DiffOp:
         zero = RatFunc.const(self.chart.table, 0)
         return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
 
-    def __hash__(self):
-        raise TypeError("DiffOp is unhashable")
-
     # -- printing --------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -611,9 +608,6 @@ class PowerSection:
         except ExpressFailure:
             return False
         return n1 == n2
-
-    def __hash__(self):
-        raise TypeError("PowerSection is unhashable")
 
     def same_factors(self, other: "PowerSection") -> bool:
         try:

@@ -10,6 +10,7 @@ from pgl3dops import certify as C
 from pgl3dops import pgl3 as P
 from pgl3dops import reference as REF
 from pgl3dops.ring import parse_ratfunc
+from pgl3dops.weyl import ExpressFailure
 
 
 def test_dominant_support_examples():
@@ -52,7 +53,9 @@ def test_case2_zero_at_boundary():
     lam = (2, -1)
     p = C.SupportPoint(0, 1, *C.weight_at(lam, 0, 1))
     assert p.nu1 == 0
-    assert C.case_scalar(lam, p, "2b", check_preconditions=False) == 0
+    assert C.case_scalar(lam, p, "2b") == 0
+    # a lowering move out of m2 = 0 is evaluated, not refused, and gives 0
+    assert C.case_scalar((2, 2), C.SupportPoint.at((2, 2), 1, 0), "2b") == 0
 
 
 def test_case3_example_value():
@@ -69,29 +72,28 @@ def test_case3_zero_when_motion_unavailable():
     lam = (2, 1)
     p = C.SupportPoint(0, 0, *C.weight_at(lam, 0, 0))
     assert p.nu1 == 1
-    assert C.case_scalar(lam, p, "3a", check_preconditions=False) == 0
+    assert C.case_scalar(lam, p, "3a") == 0
 
 
 def test_case4_values():
     p = C.SupportPoint(0, 0, 1, 1)
     assert C.case_scalar((1, 1), p, "4") == Fraction(-32, 3)
-    with pytest.raises(C.CaseUnavailable):
-        C.case_scalar((2, 2), C.SupportPoint(0, 0, 2, 2), "4")
+    # away from nu = (1, 1) the long-element move is no multiple of sigma
+    for lam, m in (((2, 2), (0, 0)), ((3, 3), (1, 1))):
+        with pytest.raises(ExpressFailure):
+            C.case_scalar(lam, C.SupportPoint.at(lam, *m), "4")
 
 
 def test_unknown_case_label_raises():
-    p = C.SupportPoint(1, 1, 1, 1)
-    for check in (True, False):
-        with pytest.raises(ValueError, match="unknown case") as exc:
-            C.case_scalar((2, 2), p, "5", check_preconditions=check)
-        assert not isinstance(exc.value, C.CaseUnavailable)
+    with pytest.raises(ValueError, match="unknown case"):
+        C.case_scalar((2, 2), C.SupportPoint(1, 1, 1, 1), "5")
 
 
 def test_closed_forms_match_engine_on_samples():
     for lam in ((2, 2), (3, 1)):
         for p in C.dominant_support(lam):
             for case in ("1", "2a", "2b", "3a", "3b"):
-                got = C.case_scalar(lam, p, case, check_preconditions=False)
+                got = C.case_scalar(lam, p, case)
                 assert got == C.closed_form_value(case, p), (lam, p, case)
 
 

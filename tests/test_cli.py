@@ -134,7 +134,13 @@ def test_op_unreadable_expression(capsys):
                  ["op", "print", "g11/0 * d/dg11"],
                  ["op", "compose", "d/dg11", "g11 *"],
                  ["op", "apply", "d/dg11", "g11/0"],
-                 ["op", "apply", "d/dg11", "g11^70000"]):
+                 ["op", "apply", "d/dg11", "g11^70000"],
+                 # text that parses but whose product overflows the exponents
+                 ["op", "compose", "g11^20000 * d/dg11", "g11^20000"],
+                 ["op", "apply", "g11^20000 * d/dg11", "g11^20000"],
+                 # a non-ASCII digit
+                 ["op", "apply", "d/dg11", "\u00b2"],
+                 ["op", "print", "d/dg11^\u00b2"]):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"op {argv[1]}: ") and err.count("\n") == 1, err

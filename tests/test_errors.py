@@ -55,9 +55,14 @@ def test_parse_errors():
         parse_operator("x / d/dx", CH)
     # an empty term, a dangling product sign, d/d of a non-coordinate
     for text in ("x +", "-", "x + + d/dx", "x *", "* x", "x * * d/dx",
-                 "d/dk", "d/dz"):
+                 "d/dk", "d/dz", "d/dx^\u00b2"):
         with pytest.raises(ParseError):
             parse_operator(text, CH)
+    # digits are ASCII 0-9 only: a superscript or another script's decimal
+    # is an unexpected character, not a number
+    for text in ("\u00b2", "x^\u00b2", "1\u00b2", "\u0663", "x + \u0663"):
+        with pytest.raises(ParseError):
+            parse_ratfunc(text, T)
 
 
 def test_chart_invariants():
@@ -102,6 +107,14 @@ def test_power_section_invariants():
     other = VarTable(coords=("x", "y"), params=("k",))
     with pytest.raises(ValueError, match="not a polynomial in the parameters"):
         PowerSection(CH, T.one(), [(T.var("x"), other.var("k"))])
+
+
+def test_equality_without_hash_is_unhashable():
+    # equality is decided up to normalisation, so none of these has a hash
+    for value in (X / Y, DiffOp.partial(CH, "x"),
+                  PowerSection(CH, T.one(), [(T.var("x"), T.var("k"))])):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_express_failures():

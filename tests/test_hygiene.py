@@ -1,6 +1,7 @@
 """Source hygiene: every module-level private name of the package is used,
 and so is every function name, every public constant of the reference
-displays and every import of the package and the tests."""
+displays and every import of the package and the tests; no test asserts
+something that cannot fail."""
 
 import ast
 import re
@@ -133,3 +134,27 @@ def unused_imports(dirs=(SRC, TESTS)):
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def _truthy_constant(node):
+    return isinstance(node, ast.Constant) and bool(node.value)
+
+
+def constant_true_asserts(tests=TESTS):
+    """file:line of each assert in the tests whose condition is a truthy
+    constant or an ``or`` with a truthy constant operand, so never fails."""
+    out = []
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Assert):
+                continue
+            test = node.test
+            if _truthy_constant(test) or (
+                    isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or)
+                    and any(_truthy_constant(v) for v in test.values)):
+                out.append(f"{path.parent.name}/{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_constant_true_asserts():
+    assert constant_true_asserts() == []

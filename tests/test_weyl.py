@@ -225,7 +225,6 @@ def test_conjugate_by_one_and_composition():
     s = PowerSection(CHART, ONE, [(TABLE.var("x"), TABLE.var("k")),
                                   (TABLE.var("y") + TABLE.one(), TABLE.var("m1"))])
     rng = random.Random(14)
-    assert conjugate(rand_op(rng), PowerSection.one(CHART)) == rand_op(rng) or True
     A = rand_op(rng)
     assert conjugate(A, PowerSection.one(CHART)) == A
     B = rand_op(rng)
