@@ -27,7 +27,8 @@ from functools import lru_cache
 from .ring import Poly, RatFunc, VarTable
 from .weyl import (Chart, ChartMap, DiffOp, PowerSection,
                    ad_nilpotency_depth, conjugate, op_compose, transport)
-from .pgl3 import PARAMS, Generator, NILPOTENT_LABELS, homogenize, mat_mul
+from .pgl3 import (PARAMS, Generator, NILPOTENT_LABELS, const_matrix,
+                   homogenize, mat_mul)
 
 CONIC_NAMES = ("u12", "u13", "u23", "x", "y")
 ENTRY_NAMES = ("s12", "s13", "s22", "s23", "s33")
@@ -149,32 +150,29 @@ def _cone_var(prefix: str, i: int, j: int) -> Poly:
     return _sym_entry(prefix, i, j, CONE_TABLE)
 
 
+@lru_cache(maxsize=None)
+def _cone_matrix(prefix: str) -> tuple:
+    return tuple(tuple(_cone_var(prefix, i, j) for j in range(1, 4))
+                 for i in range(1, 4))
+
+
 def action_field_cone(xi) -> DiffOp:
     """Infinitesimal action on the double cone.
 
     The flow of exp(-t xi) sends S to t(exp(t xi)) S exp(t xi) and S' to
-    exp(-t xi) S' t(exp(-t xi)); entry (i <= j) coefficients are read off the
-    symmetric derivative matrices.
+    exp(-t xi) S' t(exp(-t xi)), so S moves with t(xi) S + S xi and S' with
+    -(xi S' + S' t(xi)).  Each is P + t(P) for one product P, as S and S' are
+    symmetric; entry (i <= j) coefficients are read off.
     """
+    zero = CONE_TABLE.zero()
+    p = mat_mul(const_matrix(tuple(zip(*xi)), CONE_TABLE), _cone_matrix("S"),
+                zero)
+    q = mat_mul(const_matrix([[-x for x in row] for row in xi], CONE_TABLE),
+                _cone_matrix("T"), zero)
     coeffs = {}
-    for i in range(1, 4):
-        for j in range(i, 4):
-            # (t(xi) S + S xi)_{ij}
-            coeff = CONE_TABLE.zero()
-            for k in range(1, 4):
-                if xi[k - 1][i - 1]:
-                    coeff = coeff + _cone_var("S", k, j).scale(xi[k - 1][i - 1])
-                if xi[k - 1][j - 1]:
-                    coeff = coeff + _cone_var("S", i, k).scale(xi[k - 1][j - 1])
-            coeffs[f"S{i}{j}"] = RatFunc.from_poly(coeff)
-            # -(xi S' + S' t(xi))_{ij}
-            coeff = CONE_TABLE.zero()
-            for k in range(1, 4):
-                if xi[i - 1][k - 1]:
-                    coeff = coeff + _cone_var("T", k, j).scale(-xi[i - 1][k - 1])
-                if xi[j - 1][k - 1]:
-                    coeff = coeff + _cone_var("T", i, k).scale(-xi[j - 1][k - 1])
-            coeffs[f"T{i}{j}"] = RatFunc.from_poly(coeff)
+    for i, j in SYM_POSITIONS:
+        coeffs[f"S{i}{j}"] = RatFunc.from_poly(p[i - 1][j - 1] + p[j - 1][i - 1])
+        coeffs[f"T{i}{j}"] = RatFunc.from_poly(q[i - 1][j - 1] + q[j - 1][i - 1])
     return DiffOp.field(CONE, coeffs)
 
 

@@ -67,10 +67,9 @@ def minor(i: int, j: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def det_g() -> Poly:
-    m = G_MAT
-    return (m[0][0] * m[1][1] * m[2][2] + m[0][1] * m[1][2] * m[2][0]
-            + m[0][2] * m[1][0] * m[2][1] - m[0][2] * m[1][1] * m[2][0]
-            - m[0][0] * m[1][2] * m[2][1] - m[0][1] * m[1][0] * m[2][2])
+    """det g, expanded along the first row."""
+    return G_MAT[0][0] * minor(1, 1) - G_MAT[0][1] * minor(1, 2) \
+        + G_MAT[0][2] * minor(1, 3)
 
 
 BMINUSB = Chart("bminusb", MATRIX_TABLE, units=(gvar(1, 1), minor(3, 3)))
@@ -82,6 +81,9 @@ def xvar(i: int, j: int) -> Poly:
     if (i, j) == (3, 3):
         return RATIO_TABLE.one()
     return RATIO_TABLE.var(f"x{i}{j}")
+
+
+X_MAT = [[xvar(i + 1, j + 1) for j in range(3)] for i in range(3)]
 
 
 # -- Lie algebra generators and Weyl representatives ---------------------------------
@@ -126,6 +128,12 @@ def mat_mul(a, b, zero=0):
                        for j in range(3)) for i in range(3))
 
 
+def const_matrix(xi, table: VarTable):
+    """A matrix of numbers as constants of ``table``, so that ``mat_mul`` with
+    a matrix of polynomials keeps their integer coefficients."""
+    return tuple(tuple(table.const(x) for x in row) for row in xi)
+
+
 def mat_bracket(a, b):
     ab, ba = mat_mul(a, b), mat_mul(b, a)
     return tuple(tuple(ab[i][j] - ba[i][j] for j in range(3)) for i in range(3))
@@ -161,6 +169,16 @@ W_LONG = WeylElement("w0", mat_mul(W_S1S2.matrix, W_S1.matrix))
 # -- infinitesimal action on the matrix chart ------------------------------------------
 
 
+def _flow(xi, factor: str, g, table: VarTable):
+    """The velocity of the flow of xi at the matrix g: -xi g for the left
+    factor, g xi for the right."""
+    zero = table.zero()
+    if factor == "left":
+        return mat_mul(const_matrix([[-x for x in row] for row in xi], table),
+                       g, zero)
+    return mat_mul(g, const_matrix(xi, table), zero)
+
+
 def field_of_matrix(xi, factor: str = "left") -> DiffOp:
     """Vector field of the one-parameter flow of a 3x3 matrix xi.
 
@@ -169,17 +187,21 @@ def field_of_matrix(xi, factor: str = "left") -> DiffOp:
     other; the right-factor sign is calibrated so the canonical section has
     torus weight (-lam2, -lam1) under the right Cartan fields.
     """
-    coeffs = {}
-    for i in range(3):
-        for j in range(3):
-            coeff = MATRIX_TABLE.zero()
-            for k in range(3):
-                if factor == "left" and xi[i][k]:
-                    coeff = coeff + gvar(k + 1, j + 1).scale(-xi[i][k])
-                elif factor != "left" and xi[k][j]:
-                    coeff = coeff + gvar(i + 1, k + 1).scale(xi[k][j])
-            coeffs[f"g{i + 1}{j + 1}"] = RatFunc.from_poly(coeff)
-    return DiffOp.field(MATRIX, coeffs)
+    v = _flow(xi, factor, G_MAT, MATRIX_TABLE)
+    return DiffOp.field(MATRIX, {f"g{i + 1}{j + 1}": RatFunc.from_poly(v[i][j])
+                                 for i in range(3) for j in range(3)})
+
+
+def ratio_field_of_matrix(xi, factor: str) -> DiffOp:
+    """``field_of_matrix`` restricted to the ratio chart.
+
+    With V the same product at X = (x_ij, x33 = 1), the ratio x_ij = g_ij/g33
+    moves with V_ij - x_ij V_33.
+    """
+    v = _flow(xi, factor, X_MAT, RATIO_TABLE)
+    return DiffOp.field(RATIO, {
+        f"x{i + 1}{j + 1}": RatFunc.from_poly(v[i][j] - X_MAT[i][j] * v[2][2])
+        for i in range(3) for j in range(3) if (i, j) != (2, 2)})
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +294,8 @@ def slice_to_ratio(f: RatFunc) -> RatFunc:
 
 def matrix_deg0_to_big(f: RatFunc) -> RatFunc:
     """Express a degree-0 matrix-chart function in big-cell coordinates."""
-    return map_ratio_to_big().substitute_to_target(slice_to_ratio(f))
+    return f.substitute({name: RatFunc.from_poly(p)
+                         for name, p in matrix_ratios_in_big_cell().items()})
 
 
 def big_to_matrix_deg0(f: RatFunc) -> RatFunc:
@@ -304,36 +327,11 @@ def homogenize(op: DiffOp, target: Chart = MATRIX, unit: str = "g33") -> DiffOp:
     return DiffOp(target, terms)
 
 
-def dehomogenize_field(op: DiffOp) -> DiffOp:
-    """Restrict a first-order matrix-chart operator to the ratio chart.
-
-    d/dg_ij maps to d/dx_ij and d/dg33 to minus the ratio-chart Euler field.
-    Only valid input: operators of order <= 1.
-    """
-    if op.order() > 1:
-        raise ValueError("dehomogenize_field is restricted to order <= 1")
-    out = DiffOp.zero(RATIO)
-    euler = DiffOp.field(RATIO, {name: -RatFunc.var(RATIO_TABLE, name)
-                                 for name in RATIO_NAMES})
-    for K, c in op.terms.items():
-        coeff = slice_to_ratio(c)
-        if not any(K):
-            out = out + DiffOp.multiplication(RATIO, coeff)
-            continue
-        pos = K.index(1)
-        name = MATRIX_NAMES[pos]
-        if name == "g33":
-            out = out + euler.scale(coeff)
-        else:
-            out = out + DiffOp.partial(RATIO, "x" + name[1:], coeff)
-    return out
-
-
 @lru_cache(maxsize=None)
 def action_field_big_cell(gen: Generator) -> DiffOp:
     """The generator's field in big-cell coordinates, derived by transport."""
-    ratio_form = dehomogenize_field(action_field_matrix(gen))
-    return transport(ratio_form, map_ratio_to_big())
+    return transport(ratio_field_of_matrix(gen.matrix, gen.factor),
+                     map_ratio_to_big())
 
 
 # -- the two boundary derivations and the global order-2 operator ---------------------
@@ -546,20 +544,14 @@ def central_character(mu1, mu2) -> RatFunc:
 # -- Weyl twists ------------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _conjugation_formulas(w: WeylElement) -> dict[str, RatFunc]:
     """g_ij as entries of w^{-1} g w (a linear polynomial substitution)."""
-    winv, wm = w.inverse().matrix, w.matrix
-    out = {}
-    for i in range(3):
-        for j in range(3):
-            p = MATRIX_TABLE.zero()
-            for k in range(3):
-                for l in range(3):
-                    c = winv[i][k] * wm[l][j]
-                    if c:
-                        p = p + gvar(k + 1, l + 1).scale(c)
-            out[f"g{i + 1}{j + 1}"] = RatFunc.from_poly(p)
-    return out
+    t = MATRIX_TABLE
+    conj = mat_mul(mat_mul(const_matrix(w.inverse().matrix, t), G_MAT, t.zero()),
+                   const_matrix(w.matrix, t), t.zero())
+    return {f"g{i + 1}{j + 1}": RatFunc.from_poly(conj[i][j])
+            for i in range(3) for j in range(3)}
 
 
 def weyl_substitution(w: WeylElement) -> ChartMap:

@@ -288,17 +288,13 @@ class Poly:
         shift = self.table.shifts[self.table.index[name]]
         mask = self.table.field_mask
         step = 1 << shift
+        # lowering one positive field by one keeps distinct keys distinct,
+        # so each term is written once
         out: dict = {}
         for key, c in self.terms.items():
             k = (key >> shift) & mask
-            if k == 0:
-                continue
-            nkey = key - step
-            s = out.get(nkey, 0) + c * k
-            if s == 0:
-                out.pop(nkey, None)
-            else:
-                out[nkey] = _num(s)
+            if k:
+                out[key - step] = _num(c * k)
         return Poly._raw(self.table, out)
 
     # -- evaluation and substitution -------------------------------------------

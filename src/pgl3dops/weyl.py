@@ -203,15 +203,23 @@ def _binom(K: MultiIndex, J: MultiIndex) -> int:
 
 def _derivatives(f, coords, d):
     """The memoised map M -> d^M f, where ``d(g, name)`` differentiates once;
-    each M is reduced along its first positive component."""
+    each M is reduced along its first positive component.  The reduction
+    walks down to the nearest memoised index in a loop and differentiates
+    back up, so a high order costs no recursion depth."""
     memo: dict[MultiIndex, object] = {(0,) * len(coords): f}
 
     def deriv(M: MultiIndex):
         hit = memo.get(M)
-        if hit is None:
+        if hit is not None:
+            return hit
+        steps = []
+        while hit is None:
             i = next(i for i, m in enumerate(M) if m)
-            hit = d(deriv(M[:i] + (M[i] - 1,) + M[i + 1:]), coords[i])
-            memo[M] = hit
+            steps.append((M, coords[i]))
+            M = M[:i] + (M[i] - 1,) + M[i + 1:]
+            hit = memo.get(M)
+        for M, name in reversed(steps):
+            hit = memo[M] = d(hit, name)
         return hit
 
     return deriv

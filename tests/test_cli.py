@@ -124,6 +124,12 @@ def test_op_subcommands(capsys):
     assert code == 0 and out.strip() == "d/dx^2 + (x) * d/dy"
 
 
+def test_op_composes_high_derivative_orders(capsys):
+    # the memoised derivative walks down to order 0 without recursing
+    code, out = run(["op", "compose", "d/dg11^1000", "d/dg11^1000"], capsys)
+    assert code == 0 and out.strip() == "d/dg11^2000"
+
+
 def test_op_wrong_arity(capsys):
     code = cli.main(["op", "apply", "d/dg11"])
     assert code == 2

@@ -70,6 +70,21 @@ def test_bracket_x1_y1_is_h1():
     assert commutator(x1, y1) == h1
 
 
+def test_ratio_field_restricts_the_matrix_field():
+    # the ratio-chart field moves x_ij as the matrix field moves g_ij/g33
+    g33 = rf(P.gvar(3, 3))
+    for label in P.GENERATOR_LABELS:
+        for factor in ("left", "right"):
+            xi = P.Generator(label, factor).matrix
+            field = P.field_of_matrix(xi, factor)
+            ratio = P.ratio_field_of_matrix(xi, factor)
+            for name in P.RATIO_NAMES:
+                g = rf(P.gvar(int(name[1]), int(name[2])))
+                want = P.slice_to_ratio(op_apply(field, g / g33))
+                got = op_apply(ratio, RatFunc.var(P.RATIO_TABLE, name))
+                assert got == want, (label, factor, name)
+
+
 def test_big_cell_x_fields():
     assert P.action_field_big_cell(P.Generator("X3", "left")) == \
         parse_operator("-d/dU13", P.BIG)
