@@ -11,18 +11,12 @@ nonzero scalars: an edge p -> q asserts that the section at q is obtained
 from the section at p by an explicit global operator (one of four kinds of
 moves, each built from the twisted order-2 operator, Weyl twists and Casimir
 shifts).  Every scalar is computed by actually applying the operators to the
-sections; closed forms are recorded alongside, and the independent checker
-evaluates them to recompute every edge scalar.
+sections; the independent checker evaluates the closed forms to recompute
+every edge scalar.
 
-Move catalogue (case labels):
-
-    "1"  : (m1, m2) -> (m1-1, m2-1)   descent operator alone
-    "2a" : (m1, m2) -> (m1-1, m2)     s2-twist, one Casimir factor
-    "2b" : (m1, m2) -> (m1, m2-1)     s1-twist, one Casimir factor
-    "3a" : (m1, m2) -> (m1+1, m2)     s1s2-twist, five Casimir factors
-    "3b" : (m1, m2) -> (m1, m2+1)     s2s1-twist, five Casimir factors
-    "4"  : (m1, m2) -> (m1+1, m2+1)   w0-twist, three Casimir factors
-                                      (only from nu = (1,1) to nu = 0)
+The move catalogue is ``MOVES``: one row per case label, holding the step,
+the twist, the Casimir factors, the closed form of the scalar and the weight
+the move needs at its source, if any.
 
 A certificate is *connected* when every support point reaches the basepoint
 and is reached from it through recorded edges; the path construction replays
@@ -44,23 +38,32 @@ from . import pgl3 as P
 
 @dataclass(frozen=True)
 class Move:
-    """The (m1, m2) step, the Weyl twist of the descent and the Casimir
-    factors c - chi(nu + d), listed by their offsets d."""
+    """The (m1, m2) step, the Weyl twist of the descent, the Casimir factors
+    c - chi(nu + d) listed by their offsets d, the engine-derived closed form
+    of the scalar over (m1, m2, nu1, nu2) that certificates print, and the
+    weight nu the move needs at its source, if it needs one."""
 
     step: tuple[int, int]
     weyl: P.WeylElement
     shifts: tuple[tuple[int, int], ...]
+    closed_form: str
+    source_nu: tuple[int, int] | None = None
 
 
 MOVES = {
-    "1": Move((-1, -1), P.W_E, ()),
-    "2a": Move((-1, 0), P.W_S2, ((1, 1),)),
-    "2b": Move((0, -1), P.W_S1, ((1, 1),)),
+    "1": Move((-1, -1), P.W_E, (), "m1*m2"),
+    "2a": Move((-1, 0), P.W_S2, ((1, 1),),
+               "-(1/3)*m1*nu2*(m2 + nu2 + 1)"),
+    "2b": Move((0, -1), P.W_S1, ((1, 1),),
+               "-(1/3)*m2*nu1*(m1 + nu1 + 1)"),
     "3a": Move((1, 0), P.W_S1S2,
-               ((1, 1), (2, -1), (-3, 3), (-1, 2), (0, 0))),
+               ((1, 1), (2, -1), (-3, 3), (-1, 2), (0, 0)),
+               "-(2/243)*(nu2+3)*(nu1+m1+1)*(nu1+nu2+1)*(nu1+nu2+m2+2)*(2*nu1+nu2+3)*nu1*(nu1-1)"),
     "3b": Move((0, 1), P.W_S2S1,
-               ((1, 1), (-1, 2), (3, -3), (2, -1), (0, 0))),
-    "4": Move((1, 1), P.W_LONG, ((1, 1), (2, -1), (0, 0))),
+               ((1, 1), (-1, 2), (3, -3), (2, -1), (0, 0)),
+               "-(2/243)*(nu1+3)*(nu2+m2+1)*(nu1+nu2+1)*(nu1+nu2+m1+2)*(nu1+2*nu2+3)*nu2*(nu2-1)"),
+    "4": Move((1, 1), P.W_LONG, ((1, 1), (2, -1), (0, 0)),
+              "-(2/3)*(m1+4)*(m2+4)", source_nu=(1, 1)),
 }
 
 
@@ -87,7 +90,6 @@ class CaseEdge:
     target: tuple[int, int]
     case: str
     scalar: Fraction
-    closed_form: str
 
     def __post_init__(self):
         if self.scalar == 0:
@@ -116,7 +118,7 @@ class Certificate:
                        "case": e.case,
                        "scalar_num": e.scalar.numerator,
                        "scalar_den": e.scalar.denominator,
-                       "closed_form": e.closed_form}
+                       "closed_form": MOVES[e.case].closed_form}
                       for e in self.edges],
             "paths": [{"point": list(pt),
                        "to_basepoint": self.paths[pt]["to_basepoint"],
@@ -186,25 +188,13 @@ def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str) -> Fraction:
     """Exact scalar of the case move at p, by applying the actual operators.
 
     The move is evaluated as an algebraic identity: a lowering move at
-    m = 0 gives 0, and case 4 away from nu = (1, 1) raises ExpressFailure.
-    Which moves a certificate may use is decided by its support.
+    m = 0 gives 0, and case 4 away from its source weight raises
+    ExpressFailure.  Which moves a certificate may use is decided by
+    ``_EdgeFactory.get``.
     """
     if case not in MOVES:
         raise ValueError(f"unknown case {case!r}")
     return move_scalar(case, p.m, lam).constant_value()
-
-
-# The engine-derived closed forms of the case scalars, over (m1, m2, nu1, nu2);
-# certificates print these texts and ``closed_form_value`` evaluates them
-# factor by factor, without expanding the products.
-CLOSED_FORMS = {
-    "1": "m1*m2",
-    "2a": "-(1/3)*m1*nu2*(m2 + nu2 + 1)",
-    "2b": "-(1/3)*m2*nu1*(m1 + nu1 + 1)",
-    "3a": "-(2/243)*(nu2+3)*(nu1+m1+1)*(nu1+nu2+1)*(nu1+nu2+m2+2)*(2*nu1+nu2+3)*nu1*(nu1-1)",
-    "3b": "-(2/243)*(nu1+3)*(nu2+m2+1)*(nu1+nu2+1)*(nu1+nu2+m1+2)*(nu1+2*nu2+3)*nu2*(nu2-1)",
-    "4": "-(2/3)*(m1+4)*(m2+4)",
-}
 
 
 def scalar_at(text: str, p: SupportPoint) -> Fraction:
@@ -214,10 +204,11 @@ def scalar_at(text: str, p: SupportPoint) -> Fraction:
 
 
 def closed_form_value(case: str, p: SupportPoint) -> Fraction:
-    """Evaluate the engine-derived closed form of a case scalar."""
-    if case not in CLOSED_FORMS:
+    """Evaluate the closed form of a case scalar factor by factor, without
+    expanding the products."""
+    if case not in MOVES:
         raise ValueError(f"unknown case {case!r}")
-    return scalar_at(CLOSED_FORMS[case], p)
+    return scalar_at(MOVES[case].closed_form, p)
 
 
 # -- certificate construction ---------------------------------------------------------
@@ -230,18 +221,20 @@ class _EdgeFactory:
         self.cache: dict[tuple[tuple[int, int], str], CaseEdge | None] = {}
 
     def get(self, source: tuple[int, int], case: str) -> CaseEdge | None:
+        """The edge of the case move from source: None unless its target is
+        in the support, its source has the row's ``source_nu`` (if set) and
+        its scalar is nonzero."""
         key = (source, case)
         if key in self.cache:
             return self.cache[key]
         p = self.points[source]
-        dm1, dm2 = MOVES[case].step
-        target = (p.m1 + dm1, p.m2 + dm2)
+        move = MOVES[case]
+        target = (p.m1 + move.step[0], p.m2 + move.step[1])
         edge = None
-        if target in self.points:
+        if target in self.points and move.source_nu in (None, (p.nu1, p.nu2)):
             scalar = case_scalar(self.lam, p, case)
             if scalar != 0:
-                edge = CaseEdge(source, target, case, scalar,
-                                CLOSED_FORMS[case])
+                edge = CaseEdge(source, target, case, scalar)
         self.cache[key] = edge
         return edge
 
@@ -259,28 +252,19 @@ def _replay_path(factory: _EdgeFactory, start: tuple[int, int],
         m1, m2 = cur.m
         g1, g2 = goal
         if g1 < m1 and g2 < m2:
-            case = "1"
+            cases = ("1",)
         elif g1 < m1:
-            case = "2a"
+            cases = ("2a",)
         elif g2 < m2:
-            case = "2b"
-        elif g1 > m1 and g2 == m2:
-            case = "3a"
-        elif g2 > m2:
-            # raise m2 (or m1) through a case-3 move when a dominant lower
-            # neighbour exists, otherwise the support is {0, rho} and the
-            # long-element move applies
-            if cur.nu2 >= 2:
-                case = "3b"
-            elif g1 > m1 and cur.nu1 >= 2:
-                case = "3a"
-            elif (cur.nu1, cur.nu2) == (1, 1):
-                case = "4"
-            else:
-                return None
+            cases = ("2b",)
+        elif g2 == m2:
+            cases = ("3a",)
         else:
-            return None
-        edge = factory.get(cur.m, case)
+            # raise m2 (or m1) through a case-3 move when one exists,
+            # otherwise through the long-element move
+            cases = ("3b", "3a", "4") if g1 > m1 else ("3b", "4")
+        edge = next(filter(None, (factory.get(cur.m, c) for c in cases)),
+                    None)
         if edge is None:
             return None
         path.append(edge)
@@ -358,11 +342,10 @@ def validate_certificate(cert: Certificate) -> list[str]:
         dm1, dm2 = MOVES[e.case].step
         if (e.source[0] + dm1, e.source[1] + dm2) != e.target:
             problems.append(f"edge target inconsistent with case: {e}")
-        if e.closed_form != CLOSED_FORMS[e.case]:
-            problems.append(f"closed form of case {e.case} misprinted on {e}")
         point = SupportPoint.at(cert.lam, *e.source)
-        if e.case == "4" and (point.nu1, point.nu2) != (1, 1):
-            problems.append(f"case 4 edge away from nu = (1,1): {e}")
+        source_nu = MOVES[e.case].source_nu
+        if source_nu not in (None, (point.nu1, point.nu2)):
+            problems.append(f"case {e.case} edge away from nu = {source_nu}: {e}")
         want = closed_form_value(e.case, point)
         if e.scalar != want:
             problems.append(f"scalar of {e} differs from the closed form "

@@ -63,10 +63,6 @@ def _sub_nu(rf: RatFunc) -> RatFunc:
                           "nu2": RatFunc.from_poly(n2)})
 
 
-def _grid_points(n, dims=4):
-    return itertools.product(range(n + 1), repeat=dims)
-
-
 def _parse_composed(text):
     first, second = text.split(" compose ")
     return op_compose(REF.op_matrix(first), REF.op_matrix(second))
@@ -541,8 +537,8 @@ def check_casimir_lemma_operator(cfg):
     # the intended reading of the displayed second-order reduction operator
     B = P.BIG_TABLE
 
-    def pd(name, coeff=None):
-        return DiffOp.partial(P.BIG, name, coeff)
+    def pd(name):
+        return DiffOp.partial(P.BIG, name)
 
     def mul(name):
         return DiffOp.multiplication(P.BIG, RatFunc.var(B, name))
@@ -587,7 +583,7 @@ def _sym_case_scalar(case):
 def _closed_form(case):
     """The closed form certificates print for the case, with nu1, nu2 written
     in (lam, m)."""
-    return _sub_nu(REF.rf_matrix(CERT.CLOSED_FORMS[case]))
+    return _sub_nu(REF.rf_matrix(CERT.MOVES[case].closed_form))
 
 
 def check_case1_symbolic(cfg):
@@ -662,7 +658,7 @@ def _grid_scalars(cfg, case, keep):
     Returns the (point, scalar) pairs checked, or the text of the failure.
     """
     checked = []
-    for l1, l2, m1, m2 in _grid_points(cfg.grid):
+    for l1, l2, m1, m2 in itertools.product(range(cfg.grid + 1), repeat=4):
         p = CERT.SupportPoint.at((l1, l2), m1, m2)
         if not keep(p):
             continue
@@ -706,8 +702,9 @@ def check_case3b_grid(cfg):
 
 def check_case4_scalar(cfg):
     m1, m2 = P.sym_m1(), P.sym_m2()
-    # the weights whose support point m has nu = (1, 1)
-    lam = (1 + m2.scale(2) - m1, 1 + m1.scale(2) - m2)
+    # the weights whose support point m has the source weight of the move
+    n1, n2 = CERT.MOVES["4"].source_nu
+    lam = (n2 + m2.scale(2) - m1, n1 + m1.scale(2) - m2)
     got = CERT.move_scalar("4", (m1, m2), lam)
     if got != _closed_form("4"):
         return "fail", f"engine scalar {got.to_text()}"
@@ -936,9 +933,10 @@ def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
 
 def run_suite(selection: str, cfg: CheckConfig, jobs: int = 1) -> list[CheckResult]:
     ids = sorted(checks_for(selection))
-    if jobs > 1:
+    workers = min(jobs, len(ids))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_check_job,
                                     [(i, cfg) for i in ids]))
     else:
@@ -985,7 +983,7 @@ def concordance_items() -> list[dict]:
     r_eng = CERT.case_scalar((1, 3), p, "3a")
     r_ref = CERT.closed_form_value("3a", p)
     items.append(_item("cases.3a.scalar", REF.CASE3A_SCALAR_DISPLAYED,
-                       CERT.CLOSED_FORMS["3a"],
+                       CERT.MOVES["3a"].closed_form,
                        None if r_eng == r_ref else f"sample defect {r_eng - r_ref}"))
     items.append(_item("cases.3.sign", "display asserts the scalar is > 0",
                        f"computed r = {r_eng} < 0 at nu=(2,0), m=(1,1)",
@@ -994,7 +992,7 @@ def concordance_items() -> list[dict]:
     p4 = CERT.SupportPoint.at((1, 1), 0, 0)
     got4 = CERT.case_scalar((1, 1), p4, "4")
     items.append(_item("cases.4.scalar", REF.CASE4_SCALAR,
-                       CERT.CLOSED_FORMS["4"],
+                       CERT.MOVES["4"].closed_form,
                        None if got4 == c4sym.evaluate({"m1": 0, "m2": 0})
                        else f"sample defect {got4}"))
     chi_eng = _sub_nu(P.central_character(P.MATRIX_TABLE.var("nu1"),

@@ -82,7 +82,7 @@ def _certificate_transcript(cert, problems) -> str:
         lines.append(f"basepoint m={cert.basepoint}")
         for e in cert.edges:
             lines.append(f"  case {e.case}: {e.source} -> {e.target}  "
-                         f"scalar {e.scalar}  [{e.closed_form}]")
+                         f"scalar {e.scalar}  [{CERT.MOVES[e.case].closed_form}]")
         if cert.unreachable:
             lines.append(f"UNREACHABLE points: {cert.unreachable} "
                          "(this would contradict the irreducibility claim)")

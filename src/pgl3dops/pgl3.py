@@ -179,7 +179,7 @@ def _flow(xi, factor: str, g, table: VarTable):
     return mat_mul(g, const_matrix(xi, table), zero)
 
 
-def field_of_matrix(xi, factor: str = "left") -> DiffOp:
+def field_of_matrix(xi, factor: str) -> DiffOp:
     """Vector field of the one-parameter flow of a 3x3 matrix xi.
 
     Left factor: coefficient of d/dg_ij is -(xi g)_ij; right factor: +(g xi)_ij.
@@ -453,9 +453,9 @@ def _log_derivative(field: DiffOp) -> RatFunc:
     return op_apply_section(field, f).ratio_to(f)
 
 
-def twisted_field_of_matrix(xi, factor: str = "left") -> DiffOp:
-    """Coefficient-side twisted field of an arbitrary sl3 matrix."""
-    field = field_of_matrix(xi, factor)
+def twisted_field_of_matrix(xi) -> DiffOp:
+    """Coefficient-side twisted left-factor field of an arbitrary sl3 matrix."""
+    field = field_of_matrix(xi, "left")
     return field + DiffOp.multiplication(MATRIX, _log_derivative(field))
 
 

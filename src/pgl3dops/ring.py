@@ -185,12 +185,9 @@ class Poly:
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.terms:
-            return Fraction(0)
-        [(key, c)] = self.terms.items()
-        if key:
+        if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return _frac(c)
+        return _frac(self.terms.get(0, 0))
 
     def is_one(self) -> bool:
         return self.terms == {0: 1}
@@ -300,10 +297,16 @@ class Poly:
     # -- evaluation and substitution -------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Number]) -> Fraction:
-        """Exact value of the polynomial at a full point."""
-        values = [
-            _frac(assignment.get(name, 0)) for name in self.table.names
-        ]
+        """Exact value of the polynomial at a point that gives a value to
+        every variable occurring in it."""
+        occurring = 0
+        for key in self.terms:
+            occurring |= key
+        values = []
+        for name, e in zip(self.table.names, self.table.decode(occurring)):
+            if e and name not in assignment:
+                raise ValueError(f"no value given for the variable {name}")
+            values.append(_frac(assignment.get(name, 0)))
         total = Fraction(0)
         for key, c in self.terms.items():
             v = _frac(c)

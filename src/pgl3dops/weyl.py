@@ -101,9 +101,8 @@ class DiffOp:
         return DiffOp(chart, {chart.zero_index(): f})
 
     @staticmethod
-    def partial(chart: Chart, name: str, coeff: RatFunc | None = None) -> "DiffOp":
-        coeff = coeff if coeff is not None else RatFunc.const(chart.table, 1)
-        return DiffOp.field(chart, {name: coeff})
+    def partial(chart: Chart, name: str) -> "DiffOp":
+        return DiffOp.field(chart, {name: RatFunc.const(chart.table, 1)})
 
     @staticmethod
     def field(chart: Chart, coeffs: Mapping[str, RatFunc]) -> "DiffOp":

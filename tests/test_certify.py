@@ -100,7 +100,8 @@ def test_closed_forms_match_engine_on_samples():
 def test_closed_forms_equal_their_expansions():
     # factor-by-factor evaluation against the expanded parse, over
     # (lam, m) in [0,4]^4, negative weights included
-    texts = dict(C.CLOSED_FORMS, displayed=REF.CASE2B_SCALAR_DISPLAYED)
+    texts = {case: move.closed_form for case, move in C.MOVES.items()}
+    texts["displayed"] = REF.CASE2B_SCALAR_DISPLAYED
     expanded = {key: parse_ratfunc(text, P.MATRIX_TABLE)
                 for key, text in texts.items()}
     for l1, l2, m1, m2 in itertools.product(range(5), repeat=4):
@@ -110,6 +111,32 @@ def test_closed_forms_equal_their_expansions():
             got = (C.scalar_at(text, p) if key == "displayed"
                    else C.closed_form_value(key, p))
             assert got == expanded[key].evaluate(at), (key, l1, l2, m1, m2)
+
+
+def test_every_row_closed_form_evaluates():
+    # each row's text, evaluated through closed_form_value, is the scalar of
+    # the edges the factory builds for that case
+    found = set()
+    for lam in ((1, 1), (2, 2)):
+        factory = C._EdgeFactory(lam, C.dominant_support(lam))
+        for m, p in factory.points.items():
+            for case in C.MOVES:
+                edge = factory.get(m, case)
+                if edge is not None:
+                    assert edge.scalar == C.closed_form_value(case, p)
+                    found.add(case)
+    assert found == set(C.MOVES)
+
+
+def test_factory_keeps_case4_to_its_source_weight():
+    # nu = (2, 2) at m = (0, 0) and the target (1, 1) is in the support, yet
+    # case 4 exists only from nu = (1, 1): no edge, where the move's scalar
+    # would raise ExpressFailure
+    lam = (2, 2)
+    factory = C._EdgeFactory(lam, C.dominant_support(lam))
+    p = factory.points[(0, 0)]
+    assert (p.nu1, p.nu2) == (2, 2) and (1, 1) in factory.points
+    assert factory.get((0, 0), "4") is None
 
 
 def test_certify_small_examples():
@@ -140,8 +167,8 @@ def test_checker_rejects_corruption():
     assert cert.status == "irreducible"
     # corrupt one edge's target
     bad = C.Certificate(cert.lam, cert.support,
-                        [C.CaseEdge(e.source, (9, 9), e.case, e.scalar,
-                                    e.closed_form) if i == 0 else e
+                        [C.CaseEdge(e.source, (9, 9), e.case, e.scalar)
+                         if i == 0 else e
                          for i, e in enumerate(cert.edges)],
                         cert.basepoint, cert.paths, cert.status)
     assert C.validate_certificate(bad)
@@ -151,29 +178,24 @@ def test_checker_rejects_corruption():
     assert C.validate_certificate(bad2)
     # an unknown case label is reported, not raised
     bad3 = C.Certificate(cert.lam, cert.support,
-                         [C.CaseEdge(e.source, e.target, "zz", e.scalar,
-                                     e.closed_form) if i == 0 else e
+                         [C.CaseEdge(e.source, e.target, "zz", e.scalar)
+                          if i == 0 else e
                           for i, e in enumerate(cert.edges)],
                          cert.basepoint, cert.paths, cert.status)
     problems = C.validate_certificate(bad3)
     assert any("unknown case label" in p for p in problems)
-    # a wrong nonzero scalar and a misprinted closed form are reported
+    # a wrong nonzero scalar is reported
     first = cert.edges[0]
     assert first.scalar == Fraction(-2560, 81)
-    for corrupt in (C.CaseEdge(first.source, first.target, first.case,
-                               Fraction(7), first.closed_form),
-                    C.CaseEdge(first.source, first.target, first.case,
-                               first.scalar, first.closed_form + " + 1")):
-        bad5 = C.Certificate(cert.lam, cert.support,
-                             [corrupt] + cert.edges[1:], cert.basepoint,
-                             cert.paths, cert.status)
-        assert C.validate_certificate(bad5), corrupt
-    # a case-4 edge from a point whose weight is not (1,1) carries its closed
-    # form value, but the move has no scalar there
+    corrupt = C.CaseEdge(first.source, first.target, first.case, Fraction(7))
+    bad5 = C.Certificate(cert.lam, cert.support, [corrupt] + cert.edges[1:],
+                         cert.basepoint, cert.paths, cert.status)
+    assert C.validate_certificate(bad5)
+    # a case-4 edge from a point away from the row's source weight carries
+    # its closed form value, but the move has no scalar there
     p = next(p for p in cert.support if p.m == (0, 0))
-    assert (p.nu1, p.nu2) != (1, 1)
-    forged = C.CaseEdge((0, 0), (1, 1), "4", C.closed_form_value("4", p),
-                        C.CLOSED_FORMS["4"])
+    assert (p.nu1, p.nu2) != C.MOVES["4"].source_nu
+    forged = C.CaseEdge((0, 0), (1, 1), "4", C.closed_form_value("4", p))
     bad6 = C.Certificate(cert.lam, cert.support, cert.edges + [forged],
                          cert.basepoint, cert.paths, cert.status)
     assert any("case 4" in msg for msg in C.validate_certificate(bad6))
@@ -205,7 +227,7 @@ def test_checker_rejects_corruption():
         ["broken path at (2, 2) (to_basepoint)"]
     # zero scalar cannot even be constructed
     with pytest.raises(ValueError):
-        C.CaseEdge((1, 0), (0, 0), "2a", Fraction(0), "x")
+        C.CaseEdge((1, 0), (0, 0), "2a", Fraction(0))
 
 
 def test_certificate_json_shape():

@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, exit codes, JSON reports, determinism."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -187,3 +188,30 @@ def test_jobs_do_not_change_the_report(tmp_path, capsys):
     run(["verify", "conics", "--json", str(p1)], capsys)
     run(["verify", "conics", "--jobs", "3", "--json", str(p2)], capsys)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_jobs_start_at_most_one_worker_per_check(monkeypatch):
+    # a stand-in pool runs the jobs inline and records its size, so no
+    # process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = CK.CheckConfig()
+    serial = CK.run_suite("cdv", cfg)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    pooled = CK.run_suite("cdv", cfg, jobs=64)
+    assert sizes == [len(serial)] == [6]
+    assert [(r.check_id, r.status, r.details) for r in pooled] == \
+        [(r.check_id, r.status, r.details) for r in serial]

@@ -37,6 +37,24 @@ def test_zero_denominator_everywhere():
         (RatFunc.const(T, 1) / (X - Y)).substitute({"x": Y})
 
 
+def test_evaluate_needs_every_occurring_variable():
+    with pytest.raises(ValueError, match="variable y"):
+        (T.var("x") + T.var("y")).evaluate({"x": 1})
+    with pytest.raises(ValueError, match="variable x"):
+        (T.var("y") + T.var("x")).evaluate({})
+    with pytest.raises(ValueError, match="variable y"):
+        (X / Y).evaluate({"x": 1})
+    # a variable that does not occur needs no value
+    assert (T.var("x") + T.var("y")).evaluate({"x": 1, "y": 2}) == 3
+
+
+def test_constant_value_of_a_nonconstant_polynomial():
+    for poly in (T.var("x"), T.var("x") + T.one(), T.var("x") + T.var("y")):
+        with pytest.raises(ValueError, match="polynomial is not constant"):
+            poly.constant_value()
+    assert (T.var("x") - T.var("x")).constant_value() == 0
+
+
 def test_parameter_derivative_rejected():
     with pytest.raises(ParameterDerivative):
         X.differentiate("k")

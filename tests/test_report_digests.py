@@ -6,12 +6,14 @@ each symbolic suite, ``verify cases --grid N`` and ``certify`` for the four
 recorded weights with the fewest edges, so a change that alters a printed
 byte of any of them fails tier-1 and not only the benchmark.  The benchmark
 does not run ``concordance``, the one report that prints the big-cell fields
-and twist corrections, so its digest is pinned here.
+and twist corrections, so its digest is pinned here, and so is one digest
+over the ``certify`` reports and exit codes of every small weight.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -25,6 +27,11 @@ EXPECTED = json.loads(
 
 CONCORDANCE_SHA256 = \
     "3dca4100ca7ae0688615e280403e70641d9962f5564cc68947a244cc4a9aa54b"
+
+# sha256 over one line "l1,l2 exit_code sha256(report)" per weight of
+# [0,4]^2 and (-1, 0), joined by newlines
+SMALL_CERTIFICATES_SHA256 = \
+    "03b20188dbb882a4f411d4835526bc92d458d798c9633b967521810122564e10"
 
 
 def _reports():
@@ -52,3 +59,17 @@ def test_report_digest(tmp_path, argv, digest):
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv + ["--json", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_small_certificates_digest(tmp_path):
+    lines = []
+    for l1, l2 in [*itertools.product(range(5), repeat=2), (-1, 0)]:
+        path = tmp_path / f"certify_{l1}_{l2}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["certify", "--lambda", str(l1), str(l2),
+                             "--json", str(path)])
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{l1},{l2} {code} {digest}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SMALL_CERTIFICATES_SHA256
