@@ -11,6 +11,7 @@ always listed, with the exact residual.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -933,7 +934,7 @@ def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
 
 def run_suite(selection: str, cfg: CheckConfig, jobs: int = 1) -> list[CheckResult]:
     ids = sorted(checks_for(selection))
-    workers = min(jobs, len(ids))
+    workers = min(jobs, len(ids), _cpu_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -942,6 +943,13 @@ def run_suite(selection: str, cfg: CheckConfig, jobs: int = 1) -> list[CheckResu
     else:
         results = [run_check(i, cfg) for i in ids]
     return sorted(results, key=lambda r: r.check_id)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_check_job(arg):

@@ -504,17 +504,84 @@ def casimir_operator() -> DiffOp:
     return linear + cartan + raised
 
 
+@lru_cache(maxsize=None)
+def _coordinate_weights() -> tuple[tuple[int, int], ...]:
+    """The (H1, H2) weights of g11 .. g33, read off the left Cartan fields."""
+    return tuple(zip(*(_euler_weights(action_field_matrix(Generator(label)))
+                       for label in ("H1", "H2"))))
+
+
+def _euler_weights(field: DiffOp) -> tuple:
+    """The weights w_ij of a matrix-chart field sum w_ij g_ij d/dg_ij, one per
+    coordinate; raises if a coefficient is not a constant multiple of g_ij."""
+    if field.chart.coords != MATRIX_NAMES:
+        raise ValueError(f"{field!r} is not on the matrix chart")
+    weights = dict.fromkeys(MATRIX_NAMES, 0)
+    for K, c in field.terms.items():
+        if sum(K) != 1 or not c.is_poly():
+            raise ValueError(f"{field!r} is not a Euler-type field")
+        name = MATRIX_NAMES[K.index(1)]
+        g = MATRIX_TABLE.var(name)
+        k = c.num.terms.get(next(iter(g.terms)), 0)
+        if c.num != g.scale(k):
+            raise ValueError(f"the d/d{name} coefficient of {field!r} is not "
+                             f"a constant multiple of {name}")
+        weights[name] = k
+    return tuple(weights.values())
+
+
+def _poly_weights(p: Poly, weights) -> tuple[int, int] | None:
+    """The common (H1, H2) weight of the monomials of p, or None if they
+    differ; only coordinate fields count, parameters carry no weight."""
+    table, pbits = p.table, p.table.param_bits
+    found = set()
+    for coord_key in {key >> pbits for key in p.terms}:
+        exps = table.decode(coord_key << pbits)
+        found.add((sum(e * w1 for e, (w1, _) in zip(exps, weights)),
+                   sum(e * w2 for e, (_, w2) in zip(exps, weights))))
+    if len(found) > 1:
+        return None
+    return found.pop() if found else (0, 0)
+
+
+def left_weights(s: PowerSection) -> tuple[Poly, Poly] | None:
+    """(h1, h2) with H_k s = h_k s for the left Cartan fields, or None.
+
+    The fields are Euler-type, so a section whose numerator and bases each
+    have one torus weight is a weight vector: h_k is the weight of the
+    numerator plus each exponent times the weight of its base, a parameter
+    polynomial over the matrix table (a constant when the exponents are).
+    None when some numerator or base mixes weights, or the chart is not over
+    the matrix table.
+    """
+    if s.chart.table is not MATRIX_TABLE:
+        return None
+    weights = _coordinate_weights()
+    w = _poly_weights(s.num, weights)
+    if w is None:
+        return None
+    h = [MATRIX_TABLE.const(w[0]), MATRIX_TABLE.const(w[1])]
+    for base, exp in s.factors:
+        wb = _poly_weights(base, weights)
+        if wb is None:
+            return None
+        h = [hk + exp.scale(wk) for hk, wk in zip(h, wb)]
+    return h[0], h[1]
+
+
 def casimir_apply(s: PowerSection) -> PowerSection:
-    """Apply the Casimir to a section by iterated first-order actions.
+    """Apply the Casimir to a section by first-order actions.
 
     C = (H1 + H2)/3 + (H1^2 + H2^2 + H1 H2)/9 + (Y1 X1 + Y2 X2 + Y3 X3)/3
     has thirds and ninths, which would put Fraction coefficients into every
     product of the later actions.  So the numerator is split as c * p with p
     integer-primitive, the integer operator
     9C = 3(H1 + H2) + (H1^2 + H2^2 + H1 H2) + 3(Y1 X1 + Y2 X2 + Y3 X3)
-    is applied to the section with numerator p (the 11 first-order actions
-    still go through ``apply_generator``), and c/9 is applied once at the
-    end.
+    is applied to the section with numerator p, and c/9 is applied once at
+    the end.  When ``left_weights`` finds p a weight vector (h1, h2), its
+    Cartan part is the scalar 3(h1 + h2) + h1^2 + h2^2 + h1 h2; otherwise
+    the five H actions are applied.  The six X and Y actions always go
+    through ``apply_generator``.
     """
     if s.is_zero():
         return s
@@ -524,9 +591,13 @@ def casimir_apply(s: PowerSection) -> PowerSection:
     def ap(label, t):
         return apply_generator(Generator(label, "left"), t)
 
-    h1, h2 = ap("H1", p), ap("H2", p)
-    out = (h1 + h2).scale(3)
-    out = out + (ap("H1", h1) + ap("H2", h2) + ap("H1", h2))
+    if (h := left_weights(p)) is not None:
+        h1, h2 = h
+        out = p.scale((h1 + h2).scale(3) + h1 * h1 + h2 * h2 + h1 * h2)
+    else:
+        h1, h2 = ap("H1", p), ap("H2", p)
+        out = (h1 + h2).scale(3)
+        out = out + (ap("H1", h1) + ap("H2", h2) + ap("H1", h2))
     out = out + (ap("Y1", ap("X1", p)) + ap("Y2", ap("X2", p))
                  + ap("Y3", ap("X3", p))).scale(3)
     return out.scale(c / 9)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from pgl3dops import certify as C
+from pgl3dops import checks as CK
 from pgl3dops import pgl3 as P
 from pgl3dops import reference as REF
 from pgl3dops.ring import parse_ratfunc
@@ -111,6 +112,12 @@ def test_closed_forms_equal_their_expansions():
             got = (C.scalar_at(text, p) if key == "displayed"
                    else C.closed_form_value(key, p))
             assert got == expanded[key].evaluate(at), (key, l1, l2, m1, m2)
+
+
+@pytest.mark.parametrize("case", ["3a", "3b"])
+def test_case3_symbolic_scalars_equal_their_closed_forms(case):
+    # the engine scalar with lam and m free, not a sample of it
+    assert CK._sym_case_scalar(case) == CK._closed_form(case)
 
 
 def test_every_row_closed_form_evaluates():

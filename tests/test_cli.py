@@ -211,7 +211,14 @@ def test_jobs_start_at_most_one_worker_per_check(monkeypatch):
     cfg = CK.CheckConfig()
     serial = CK.run_suite("cdv", cfg)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(CK, "_cpu_count", lambda: 64)
     pooled = CK.run_suite("cdv", cfg, jobs=64)
     assert sizes == [len(serial)] == [6]
+    assert [(r.check_id, r.status, r.details) for r in pooled] == \
+        [(r.check_id, r.status, r.details) for r in serial]
+    # and at most one worker per CPU
+    monkeypatch.setattr(CK, "_cpu_count", lambda: 2)
+    pooled = CK.run_suite("cdv", cfg, jobs=64)
+    assert sizes == [6, 2]
     assert [(r.check_id, r.status, r.details) for r in pooled] == \
         [(r.check_id, r.status, r.details) for r in serial]

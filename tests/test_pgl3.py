@@ -1,8 +1,12 @@
 """Model-level tests: charts, fields, twisted operators, Casimir."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
 from pgl3dops import certify as CERT
+from pgl3dops import checks as CK
 from pgl3dops import pgl3 as P
 from pgl3dops.ring import Poly, RatFunc
 from pgl3dops.weyl import (PowerSection, commutator,
@@ -288,6 +292,85 @@ def test_casimir_chain_stays_integral(monkeypatch):
     assert P.casimir_apply(sig.scale(k)) == sig.scale(k * chi.constant_value())
     zero = sig.scale(0)
     assert P.casimir_apply(zero) is zero
+
+
+def _row_homogeneous(rng, rows):
+    """A random polynomial whose monomials take one g entry from each row in
+    ``rows``, so every monomial has the same left torus weight."""
+    t = P.MATRIX_TABLE
+    out = t.zero()
+    while out.is_zero():
+        for _ in range(rng.randint(1, 3)):
+            mono = t.const(rng.choice([-3, -1, 1, 2, 5]))
+            if rng.random() < 0.3:
+                mono = mono * (t.var("lam1") + rng.randint(-2, 2))
+            for r in rows:
+                mono = mono * P.gvar(r, rng.randint(1, 3))
+            out = out + mono
+    return out
+
+
+def _random_weight_section(rng, symbolic):
+    t = P.MATRIX_TABLE
+    bases = [P.gvar(rng.randint(1, 3), rng.randint(1, 3)),
+             P.minor(rng.randint(1, 3), rng.randint(1, 3)), P.det_g(),
+             _row_homogeneous(rng, (1, 2))]
+    factors = []
+    for base in rng.sample(bases, rng.randint(1, 4)):
+        exp = t.const(rng.randint(-3, 4))
+        if symbolic:
+            exp = exp + t.var(rng.choice(P.PARAMS[:4])).scale(rng.randint(-2, 2))
+        factors.append((base, exp))
+    rows = [rng.randint(1, 3) for _ in range(rng.randint(0, 3))]
+    num = _row_homogeneous(rng, rows) if rows else t.const(rng.randint(1, 4))
+    return PowerSection(P.MATRIX, num, factors)
+
+
+def test_left_weights_are_the_cartan_eigenvalues():
+    rng = random.Random(22)
+    for trial in range(12):
+        s = _random_weight_section(rng, symbolic=trial % 2 == 1)
+        h = P.left_weights(s)
+        assert h is not None
+        for label, hk in zip(("H1", "H2"), h):
+            assert P.apply_generator(P.Generator(label), s) == s.scale(hk)
+        if trial % 2 == 0:
+            assert all(hk.is_constant() for hk in h)
+
+
+def _composed_casimir(s):
+    f = P.canonical_section()
+    return op_apply_section(P.casimir_operator(), s / f) * f
+
+
+def test_mixed_weights_take_the_five_h_actions():
+    t = P.MATRIX_TABLE
+    mixed_num = PowerSection(P.MATRIX, P.gvar(1, 1) + P.gvar(2, 1),
+                             [(P.gvar(3, 3), P.lam1()), (P.minor(1, 1), 2)])
+    mixed_base = PowerSection(P.MATRIX, P.gvar(1, 2) * t.var("lam2"),
+                              [(P.gvar(1, 1) + P.gvar(3, 2), -1),
+                               (P.gvar(3, 3), P.lam2())])
+    for s in (mixed_num, mixed_base):
+        assert P.left_weights(s) is None
+        assert P.casimir_apply(s) == _composed_casimir(s)
+    big = PowerSection(P.BIG, P.BIG_TABLE.var("a1"))
+    assert P.left_weights(big) is None
+    with pytest.raises(ValueError):
+        P._euler_weights(P.action_field_matrix(P.Generator("X1")))
+
+
+def test_wrong_coordinate_weights_are_caught(monkeypatch):
+    # H1 read as a right action: the weight route alone changes, and both
+    # the composed operator and the central character see it
+    right = P._euler_weights(P.action_field_matrix(P.Generator("H1", "right")))
+    wrong = tuple((w, h2) for w, (_, h2) in zip(right, P._coordinate_weights()))
+    assert wrong != P._coordinate_weights()
+    monkeypatch.setattr(P, "_coordinate_weights", lambda: wrong)
+    assert CK.check_casimir_routes_agree(CK.CheckConfig())[0] == "fail"
+    sig = P.monomial_section()
+    nu = P.weight_exponents(P.sym_m1(), P.sym_m2())
+    assert express_as_multiple(P.casimir_apply(sig), sig) != \
+        P.central_character(*nu)
 
 
 def test_casimir_centrality_spot():
