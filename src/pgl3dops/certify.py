@@ -15,8 +15,9 @@ sections; the independent checker evaluates the closed forms to recompute
 every edge scalar.
 
 The move catalogue is ``MOVES``: one row per case label, holding the step,
-the twist, the Casimir factors, the closed form of the scalar and the weight
-the move needs at its source, if any.
+the twist, the Casimir factors, the closed form of the scalar, the weight
+the move needs at its source, if any, and the Casimir factors that act on
+the move's output as numbers (``Move.spare``).
 
 A certificate is *connected* when every support point reaches the basepoint
 and is reached from it through recorded edges; the path construction replays
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import RatFunc, evaluate_text
-from .weyl import PowerSection, express_as_multiple
+from .weyl import ExpressFailure, PowerSection, express_as_multiple
 # unused here, but perfbench/tests/test_harness.py checks that the benchmark's
 # patcher rewrites this binding too
 from .weyl import op_apply_section  # noqa: F401
@@ -40,14 +41,18 @@ from . import pgl3 as P
 class Move:
     """The (m1, m2) step, the Weyl twist of the descent, the Casimir factors
     c - chi(nu + d) listed by their offsets d, the engine-derived closed form
-    of the scalar over (m1, m2, nu1, nu2) that certificates print, and the
-    weight nu the move needs at its source, if it needs one."""
+    of the scalar over (m1, m2, nu1, nu2) that certificates print, the
+    weight nu the move needs at its source, if it needs one, and ``spare``:
+    the offsets among ``shifts`` whose isotypic component the descent output
+    never contains, so that their factors act on the filtered output
+    c * sigma_target as the numbers chi(nu_target) - chi(nu + d)."""
 
     step: tuple[int, int]
     weyl: P.WeylElement
     shifts: tuple[tuple[int, int], ...]
     closed_form: str
     source_nu: tuple[int, int] | None = None
+    spare: tuple[tuple[int, int], ...] = ()
 
 
 MOVES = {
@@ -58,10 +63,12 @@ MOVES = {
                "-(1/3)*m2*nu1*(m1 + nu1 + 1)"),
     "3a": Move((1, 0), P.W_S1S2,
                ((1, 1), (2, -1), (-3, 3), (-1, 2), (0, 0)),
-               "-(2/243)*(nu2+3)*(nu1+m1+1)*(nu1+nu2+1)*(nu1+nu2+m2+2)*(2*nu1+nu2+3)*nu1*(nu1-1)"),
+               "-(2/243)*(nu2+3)*(nu1+m1+1)*(nu1+nu2+1)*(nu1+nu2+m2+2)*(2*nu1+nu2+3)*nu1*(nu1-1)",
+               spare=((-3, 3),)),
     "3b": Move((0, 1), P.W_S2S1,
                ((1, 1), (-1, 2), (3, -3), (2, -1), (0, 0)),
-               "-(2/243)*(nu1+3)*(nu2+m2+1)*(nu1+nu2+1)*(nu1+nu2+m1+2)*(nu1+2*nu2+3)*nu2*(nu2-1)"),
+               "-(2/243)*(nu1+3)*(nu2+m2+1)*(nu1+nu2+1)*(nu1+nu2+m1+2)*(nu1+2*nu2+3)*nu2*(nu2-1)",
+               spare=((3, -3),)),
     "4": Move((1, 1), P.W_LONG, ((1, 1), (2, -1), (0, 0)),
               "-(2/3)*(m1+4)*(m2+4)", source_nu=(1, 1)),
 }
@@ -158,16 +165,14 @@ def module_dimension(lam: tuple[int, int]) -> int:
 # -- engine computation of the case scalars ----------------------------------------
 
 
-def apply_move(case: str, s: PowerSection, f: PowerSection, nu) -> PowerSection:
-    """The case move applied to a section of weight nu (numbers or parameter
-    polynomials over the matrix table), with f the trivialising section of
-    the same weight parameters."""
-    move = MOVES[case]
-    out = P.apply_descent(s, move.weyl, f)
-    for d1, d2 in move.shifts:
+def apply_filters(s: PowerSection, offsets, nu) -> PowerSection:
+    """The Casimir filters prod_d (c - chi(nu + d)) over the offsets d,
+    applied to s; nu holds numbers or parameter polynomials over the matrix
+    table."""
+    for d1, d2 in offsets:
         chi = P.central_character(nu[0] + d1, nu[1] + d2)
-        out = P.casimir_apply(out) + out.scale(-chi)
-    return out
+        s = P.casimir_apply(s) + s.scale(-chi)
+    return s
 
 
 def move_scalar(case: str, m, lam=None) -> RatFunc:
@@ -176,12 +181,30 @@ def move_scalar(case: str, m, lam=None) -> RatFunc:
     m and the weight lam are pairs of numbers or parameter polynomials over
     the matrix table, lam symbolic by default; the move is applied as an
     algebraic identity, with no certificate-level precondition.
+
+    The filters of the row's ``spare`` offsets are not applied: once the
+    others leave c * sigma_target, each spare factor multiplies c by its gap
+    chi(nu_target) - chi(nu + d), as the Casimir acts on sigma_target by
+    chi(nu_target) (``casimir.eigenvalue``).  If the output is no multiple
+    of sigma_target, the spare filters are applied and the output is
+    expressed again, so a wrong flag costs time only.
     """
-    dm1, dm2 = MOVES[case].step
-    out = apply_move(case, P.monomial_section(*m, lam),
-                     P.monomial_section(0, 0, lam), P.weight_exponents(*m, lam))
-    return express_as_multiple(
-        out, P.monomial_section(m[0] + dm1, m[1] + dm2, lam))
+    move = MOVES[case]
+    target = (m[0] + move.step[0], m[1] + move.step[1])
+    nu = P.weight_exponents(*m, lam)
+    out = P.apply_descent(P.monomial_section(*m, lam), move.weyl,
+                          P.monomial_section(0, 0, lam))
+    out = apply_filters(out, [d for d in move.shifts if d not in move.spare],
+                        nu)
+    sigma_t = P.monomial_section(*target, lam)
+    try:
+        scalar = express_as_multiple(out, sigma_t)
+    except ExpressFailure:
+        return express_as_multiple(apply_filters(out, move.spare, nu), sigma_t)
+    chi_t = P.central_character(*P.weight_exponents(*target, lam))
+    for d1, d2 in move.spare:
+        scalar = scalar * (chi_t - P.central_character(nu[0] + d1, nu[1] + d2))
+    return scalar
 
 
 def case_scalar(lam: tuple[int, int], p: SupportPoint, case: str) -> Fraction:

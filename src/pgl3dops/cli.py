@@ -12,15 +12,17 @@ Subcommands:
 
 Exit codes: 0 when nothing failed (mismatch-reported items are informational
 and always listed), 1 when at least one check failed or a certificate left
-unreachable points, 2 on usage errors.  JSON reports carry a schema_version
-field and never include wall times, so identical invocations produce
-byte-identical files.
+unreachable points, 2 on usage errors, among them a ``--json`` path that
+cannot be written, which is refused before any work.  JSON reports carry a
+schema_version field and never include wall times, so identical invocations
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import certify as CERT
@@ -39,6 +41,19 @@ CHARTS = {
     "conic_entry": CON.ENTRY,
     "conic_cone": CON.CONE,
 }
+
+
+def _unwritable(path: str) -> str | None:
+    """Why a report cannot be written to path, or None if it can."""
+    if os.path.isdir(path):
+        return "it is a directory"
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"the directory {folder} does not exist"
+    if not os.access(folder, os.W_OK) or \
+            (os.path.exists(path) and not os.access(path, os.W_OK)):
+        return "permission denied"
+    return None
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -178,6 +193,11 @@ def main(argv=None) -> int:
             print(f"op {args.action} expects {wanted} expression(s)",
                   file=sys.stderr)
             return 2
+    json_path = getattr(args, "json", None)
+    if json_path and (why := _unwritable(json_path)):
+        print(f"{args.command}: cannot write --json {json_path}: {why}",
+              file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -605,9 +605,14 @@ def casimir_apply(s: PowerSection) -> PowerSection:
 
 def central_character(mu1, mu2) -> RatFunc:
     """Scalar action of the Casimir on the simple module of highest weight mu:
-    (mu1 + mu2)/3 + (mu1^2 + mu1 mu2 + mu2^2)/9."""
-    p1 = RatFunc.from_poly(_exponent(mu1))
-    p2 = RatFunc.from_poly(_exponent(mu2))
+    (mu1 + mu2)/3 + (mu1^2 + mu1 mu2 + mu2^2)/9, over Fractions when both
+    weights are constant."""
+    e1, e2 = _exponent(mu1), _exponent(mu2)
+    if e1.is_constant() and e2.is_constant():
+        a, b = e1.constant_value(), e2.constant_value()
+        return RatFunc.const(e1.table,
+                             (a + b) / 3 + (a * a + a * b + b * b) / 9)
+    p1, p2 = RatFunc.from_poly(e1), RatFunc.from_poly(e2)
     return (p1 + p2).scale(Fraction(1, 3)) + \
         (p1 * p1 + p1 * p2 + p2 * p2).scale(Fraction(1, 9))
 

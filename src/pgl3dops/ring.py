@@ -320,32 +320,41 @@ class Poly:
         """Substitute fractions for variables; unmapped names map to themselves.
 
         The values of ``mapping`` must all live over a common table, which
-        becomes the table of the result.
+        becomes the table of the result.  When every value is a polynomial
+        the sum is formed in ``Poly`` and wrapped once: a fraction with
+        denominator one is already in normal form, so both routes agree.
         """
         if mapping:
             target = next(iter(mapping.values())).table
         else:
             target = self.table
-        base: dict[int, RatFunc] = {}
-        for name, val in mapping.items():
-            base[self.table.index[name]] = val
-        powers: dict[tuple[int, int], RatFunc] = {}
+        if all(val.is_poly() for val in mapping.values()):
+            return RatFunc.from_poly(self._substituted(
+                target, {name: val.num for name, val in mapping.items()},
+                lambda p: p))
+        return self._substituted(target, mapping, RatFunc.from_poly)
 
-        def power(i: int, e: int) -> "RatFunc":
+    def _substituted(self, target: VarTable, mapping: Mapping, lift):
+        """The sum of the terms with each variable replaced by its image in
+        ``mapping``, or by itself over ``target``; ``lift`` turns a Poly
+        over ``target`` into the type of the images (Poly or RatFunc)."""
+        base = {self.table.index[name]: val for name, val in mapping.items()}
+        powers: dict = {}
+
+        def power(i: int, e: int):
             key = (i, e)
             hit = powers.get(key)
-            if hit is not None:
-                return hit
-            if i in base:
-                val = base[i] ** e
-            else:
-                val = RatFunc.from_poly(target.var(self.table.names[i]) ** e)
-            powers[key] = val
-            return val
+            if hit is None:
+                if i in base:
+                    hit = base[i] ** e
+                else:
+                    hit = lift(target.var(self.table.names[i]) ** e)
+                powers[key] = hit
+            return hit
 
-        total = RatFunc.from_poly(target.zero())
+        total = lift(target.zero())
         for key, c in self.terms.items():
-            term = RatFunc.from_poly(target.const(c))
+            term = lift(target.const(c))
             for i, e in enumerate(self.table.decode(key)):
                 if e:
                     term = term * power(i, e)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import dataclasses
 import itertools
 
 import pytest
@@ -11,7 +12,7 @@ from pgl3dops import checks as CK
 from pgl3dops import pgl3 as P
 from pgl3dops import reference as REF
 from pgl3dops.ring import parse_ratfunc
-from pgl3dops.weyl import ExpressFailure
+from pgl3dops.weyl import ExpressFailure, express_as_multiple
 
 
 def test_dominant_support_examples():
@@ -115,9 +116,98 @@ def test_closed_forms_equal_their_expansions():
 
 
 @pytest.mark.parametrize("case", ["3a", "3b"])
-def test_case3_symbolic_scalars_equal_their_closed_forms(case):
-    # the engine scalar with lam and m free, not a sample of it
-    assert CK._sym_case_scalar(case) == CK._closed_form(case)
+def test_case3_symbolic_scalars_equal_their_closed_forms(case, monkeypatch):
+    # with lam and m free, not a sample: the engine scalar is the closed
+    # form; the filters other than the spare one leave a multiple of
+    # sigma_target (one express, no fallback), that multiple times the
+    # spare gap is the closed form, and so is the scalar of the full route,
+    # which applies the spare filter to the same output
+    seen = []
+
+    def spy(s, t):
+        seen.append((s, t, express_as_multiple(s, t)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(C, "express_as_multiple", spy)
+    closed = CK._closed_form(case)
+    assert CK._sym_case_scalar(case) == closed
+    ((out, sigma_t, multiple),) = seen
+    move = C.MOVES[case]
+    ((d1, d2),) = move.spare
+    m = (P.sym_m1(), P.sym_m2())
+    nu = P.weight_exponents(*m)
+    gap = P.central_character(*P.weight_exponents(
+        m[0] + move.step[0], m[1] + move.step[1])) - \
+        P.central_character(nu[0] + d1, nu[1] + d2)
+    assert multiple * gap == closed
+    full = C.apply_filters(out, move.spare, nu)
+    assert express_as_multiple(full, sigma_t) == closed
+
+
+# the weights certify_sweep certifies in one pass (perfbench/workloads.py)
+SWEEP_WEIGHTS = (
+    (8, 1), (7, 2), (5, 3), (3, 4), (4, 4), (3, 5),
+    (10, 1), (12, 0), (5, 4), (5, 5), (4, 5), (9, 1),
+    (11, 1), (10, 2), (7, 3), (8, 3), (6, 4), (7, 4),
+)
+
+
+def _count_express_failures(monkeypatch) -> list[int]:
+    """Count the ExpressFailures of certify's express_as_multiple, each of
+    which makes move_scalar fall back to the spare filters."""
+    failures = [0]
+
+    def counted(s, t):
+        try:
+            return express_as_multiple(s, t)
+        except ExpressFailure:
+            failures[0] += 1
+            raise
+
+    monkeypatch.setattr(C, "express_as_multiple", counted)
+    return failures
+
+
+def test_spare_route_equals_full_route(monkeypatch):
+    # at degenerate nu (nu1 or nu2 in {0, 1}, nu1 = nu2) and at non-dominant
+    # points the scalar without the spare filters equals the scalar with all
+    # five, computed by rows that mark nothing spare
+    points = [((l1, l2), C.SupportPoint.at((l1, l2), m1, m2))
+              for l1, l2, m1, m2 in itertools.product(
+                  range(-1, 4), range(-1, 4), range(2), range(2))]
+    points = [(lam, p) for lam, p in points if {p.nu1, p.nu2} & {0, 1}
+              or p.nu1 == p.nu2 or min(p.nu1, p.nu2) < 0]
+    assert {0, 1} <= {p.nu1 for _, p in points} & {p.nu2 for _, p in points}
+    assert any(p.nu1 == p.nu2 >= 2 for _, p in points)
+    assert any(min(p.nu1, p.nu2) < 0 for _, p in points)
+    spare = {(case, lam, p): C.case_scalar(lam, p, case)
+             for case in ("3a", "3b") for lam, p in points}
+    for case in ("3a", "3b"):
+        monkeypatch.setitem(C.MOVES, case,
+                            dataclasses.replace(C.MOVES[case], spare=()))
+    for (case, lam, p), scalar in spare.items():
+        assert C.case_scalar(lam, p, case) == scalar, (case, lam, p)
+
+
+def test_no_fallback_on_the_sweep_weights(monkeypatch):
+    # a spare flag in MOVES that a move needs would show up here
+    failures = _count_express_failures(monkeypatch)
+    for lam in SWEEP_WEIGHTS:
+        assert C.certify(lam).status == "irreducible", lam
+    assert failures[0] == 0
+
+
+def test_a_wrong_spare_flag_falls_back(monkeypatch):
+    # marking the needed filter (1, 1) spare leaves no multiple of
+    # sigma_target; the fallback applies it and the scalar stays right
+    lam, p = (5, 3), C.SupportPoint.at((5, 3), 1, 1)
+    assert (p.nu1, p.nu2) == (2, 4)
+    failures = _count_express_failures(monkeypatch)
+    monkeypatch.setitem(C.MOVES, "3a",
+                        dataclasses.replace(C.MOVES["3a"], spare=((1, 1),)))
+    assert C.case_scalar(lam, p, "3a") == C.closed_form_value("3a", p) \
+        == Fraction(-8624, 27)
+    assert failures[0] == 1
 
 
 def test_every_row_closed_form_evaluates():

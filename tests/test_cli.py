@@ -166,6 +166,22 @@ def test_usage_error_exit_two():
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("argv", [["verify", "cdv"],
+                                  ["certify", "--lambda", "1", "1"],
+                                  ["concordance"]],
+                         ids=["verify", "certify", "concordance"])
+def test_unwritable_json_path_exits_two_before_any_work(tmp_path, capsys,
+                                                       argv):
+    # a missing directory and a directory are refused with one stderr line
+    # naming the path, before anything is computed or printed
+    for path in (tmp_path / "missing" / "report.json", tmp_path):
+        assert cli.main(argv + ["--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_vacuous_grid_checks_fail():
     # a grid check that examined no point must not report a pass
     for check_id, grid in (("cases.case2.grid", -1),

@@ -1,8 +1,10 @@
-"""Property tests of the exact ring over a small variable table."""
+"""Property tests of the exact ring over a small variable table, and of the
+central character at constant weights."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pgl3dops import pgl3 as P
 from pgl3dops.ring import (Poly, RatFunc, VarTable, evaluate_text,
                            parse_ratfunc)
 
@@ -63,3 +65,62 @@ def test_number_coercion_in_sums(p, n):
 def test_evaluate_text_matches_evaluate(p, point):
     values = dict(zip(TABLE.names, point))
     assert evaluate_text(p.to_text(), values) == p.evaluate(values)
+
+
+images = st.dictionaries(st.sampled_from(TABLE.names), polys, min_size=1).map(
+    lambda m: {name: RatFunc.from_poly(p) for name, p in m.items()})
+
+
+@SETTINGS
+@given(polys, images)
+def test_polynomial_substitution_matches_the_fraction_route(p, mapping):
+    # the Poly route wraps once; the fraction route multiplies fractions
+    got = p.substitute(mapping)
+    want = p._substituted(TABLE, mapping, RatFunc.from_poly)
+    assert got.den.is_one() and want.den.is_one()
+    assert got.num.terms == want.num.terms
+
+
+@SETTINGS
+@given(polys, polys, nonzero, st.tuples(coeffs, coeffs, coeffs))
+def test_substitution_with_a_fraction_image(p, y_image, den, point):
+    # one non-polynomial image: the value at a point is p at the images
+    mapping = {"x": RatFunc(TABLE.var("y"), den),
+               "y": RatFunc.from_poly(y_image)}
+    values = dict(zip(TABLE.names, point))
+    assume(den.evaluate(values) != 0)
+    at = {"x": mapping["x"].evaluate(values), "y": y_image.evaluate(values),
+          "m": values["m"]}
+    assert p.substitute(mapping).evaluate(values) == p.evaluate(at)
+
+
+def test_a_fraction_image_takes_the_fraction_route(monkeypatch):
+    lifts = []
+    route = Poly._substituted
+
+    def spy(self, target, mapping, lift):
+        lifts.append(lift)
+        return route(self, target, mapping, lift)
+
+    monkeypatch.setattr(Poly, "_substituted", spy)
+    x, y = TABLE.var("x"), TABLE.var("y")
+    f = x * x + y
+    got = f.substitute({"x": RatFunc(TABLE.one(), y + TABLE.one()),
+                        "y": RatFunc.from_poly(y)})
+    assert lifts == [RatFunc.from_poly]
+    assert got == RatFunc(1 + y * (y + 1) * (y + 1), (y + 1) * (y + 1))
+    f.substitute({"x": RatFunc.from_poly(y)})
+    assert lifts[1] is not RatFunc.from_poly
+
+
+@SETTINGS
+@given(st.integers(-30, 30), st.integers(-30, 30))
+def test_central_character_at_constant_weights(a, b):
+    # the Fraction route equals the symbolic formula evaluated at (a, b)
+    t = P.MATRIX_TABLE
+    symbolic = P.central_character(t.var("nu1"), t.var("nu2"))
+    value = symbolic.evaluate({"nu1": a, "nu2": b})
+    for mu in ((a, b), (t.const(a), t.const(b))):
+        chi = P.central_character(*mu)
+        assert chi.den.is_one() and chi.table is t
+        assert chi.num == t.const(value)
