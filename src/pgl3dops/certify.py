@@ -11,8 +11,9 @@ nonzero scalars: an edge p -> q asserts that the section at q is obtained
 from the section at p by an explicit global operator (one of four kinds of
 moves, each built from the twisted order-2 operator, Weyl twists and Casimir
 shifts).  Every scalar is computed by actually applying the operators to the
-sections; the independent checker evaluates the closed forms to recompute
-every edge scalar.
+sections.  ``certify`` returns the certificate as the JSON-ready report that
+``certify --json`` prints, and the checker ``validate_certificate`` reads
+that report, recomputing every edge scalar from its row's closed form.
 
 The move catalogue is ``MOVES``: one row per case label, holding the step,
 the twist, the Casimir factors, the closed form of the scalar, the weight
@@ -26,7 +27,7 @@ the inductive descent on |m1' - m1| + |m2' - m2|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .ring import RatFunc, evaluate_text
@@ -91,75 +92,22 @@ class SupportPoint:
         return (self.m1, self.m2)
 
 
-@dataclass(frozen=True)
-class CaseEdge:
-    source: tuple[int, int]
-    target: tuple[int, int]
-    case: str
-    scalar: Fraction
-
-    def __post_init__(self):
-        if self.scalar == 0:
-            raise ValueError("a certificate edge must carry a nonzero scalar")
-
-
-@dataclass
-class Certificate:
-    lam: tuple[int, int]
-    support: list[SupportPoint]
-    edges: list[CaseEdge]
-    basepoint: tuple[int, int] | None
-    paths: dict[tuple[int, int], dict[str, list[int]]]
-    status: str               # "irreducible" | "zero_module" | "unreachable"
-    unreachable: list[tuple[int, int]] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "status": self.status,
-            "module_dimension": module_dimension(self.lam),
-            "support": [{"m1": p.m1, "m2": p.m2, "nu1": p.nu1, "nu2": p.nu2}
-                        for p in self.support],
-            "basepoint": list(self.basepoint) if self.basepoint else None,
-            "edges": [{"from": list(e.source), "to": list(e.target),
-                       "case": e.case,
-                       "scalar_num": e.scalar.numerator,
-                       "scalar_den": e.scalar.denominator,
-                       "closed_form": MOVES[e.case].closed_form}
-                      for e in self.edges],
-            "paths": [{"point": list(pt),
-                       "to_basepoint": self.paths[pt]["to_basepoint"],
-                       "from_basepoint": self.paths[pt]["from_basepoint"]}
-                      for pt in sorted(self.paths)],
-            "unreachable": [list(p) for p in sorted(self.unreachable)],
-        }
-
-
 def weight_at(lam: tuple[int, int], m1: int, m2: int) -> tuple[int, int]:
     return (lam[1] - 2 * m1 + m2, lam[0] + m1 - 2 * m2)
 
 
 def dominant_support(lam: tuple[int, int]) -> list[SupportPoint]:
     """All (m1, m2) >= 0 with dominant weight; empty iff the space is zero."""
-    l1, l2 = lam
-    out = []
-    bound = max(l1 + l2, 0)
-    for m1 in range(bound + 1):
-        for m2 in range(bound + 1):
-            p = SupportPoint.at(lam, m1, m2)
-            if p.nu1 >= 0 and p.nu2 >= 0:
-                out.append(p)
-    out.sort(key=lambda p: (p.m1 + p.m2, p.m1))
-    return out
+    span = range(max(sum(lam), 0) + 1)
+    points = (SupportPoint.at(lam, m1, m2) for m1 in span for m2 in span)
+    return sorted((p for p in points if p.nu1 >= 0 and p.nu2 >= 0),
+                  key=lambda p: (p.m1 + p.m2, p.m1))
 
 
 def module_dimension(lam: tuple[int, int]) -> int:
     """Sum over the support of (dim of the simple module of weight nu)^2."""
-    total = 0
-    for p in dominant_support(lam):
-        d = (p.nu1 + 1) * (p.nu2 + 1) * (p.nu1 + p.nu2 + 2) // 2
-        total += d * d
-    return total
+    return sum(((p.nu1 + 1) * (p.nu2 + 1) * (p.nu1 + p.nu2 + 2) // 2) ** 2
+               for p in dominant_support(lam))
 
 
 # -- engine computation of the case scalars ----------------------------------------
@@ -241,12 +189,12 @@ class _EdgeFactory:
     def __init__(self, lam: tuple[int, int], support: list[SupportPoint]):
         self.lam = lam
         self.points = {p.m: p for p in support}
-        self.cache: dict[tuple[tuple[int, int], str], CaseEdge | None] = {}
+        self.cache: dict[tuple[tuple[int, int], str], dict | None] = {}
 
-    def get(self, source: tuple[int, int], case: str) -> CaseEdge | None:
-        """The edge of the case move from source: None unless its target is
-        in the support, its source has the row's ``source_nu`` (if set) and
-        its scalar is nonzero."""
+    def get(self, source: tuple[int, int], case: str) -> dict | None:
+        """The report edge of the case move from source: None unless its
+        target is in the support, its source has the row's ``source_nu`` (if
+        set) and its scalar is nonzero."""
         key = (source, case)
         if key in self.cache:
             return self.cache[key]
@@ -257,13 +205,16 @@ class _EdgeFactory:
         if target in self.points and move.source_nu in (None, (p.nu1, p.nu2)):
             scalar = case_scalar(self.lam, p, case)
             if scalar != 0:
-                edge = CaseEdge(source, target, case, scalar)
+                edge = {"from": list(source), "to": list(target), "case": case,
+                        "scalar_num": scalar.numerator,
+                        "scalar_den": scalar.denominator,
+                        "closed_form": move.closed_form}
         self.cache[key] = edge
         return edge
 
 
 def _replay_path(factory: _EdgeFactory, start: tuple[int, int],
-                 goal: tuple[int, int]) -> list[CaseEdge] | None:
+                 goal: tuple[int, int]) -> list[dict] | None:
     """Follow the inductive move selection from start until goal is reached."""
     path = []
     cur = factory.points[start]
@@ -291,109 +242,177 @@ def _replay_path(factory: _EdgeFactory, start: tuple[int, int],
         if edge is None:
             return None
         path.append(edge)
-        cur = factory.points[edge.target]
+        cur = factory.points[tuple(edge["to"])]
     return path
 
 
-def certify(lam: tuple[int, int]) -> Certificate:
-    """Build the generation certificate for a concrete weight pair."""
+def certify(lam: tuple[int, int]) -> dict:
+    """The generation certificate for a concrete weight pair, as the report
+    that ``certify --json`` prints under "certificates" (without the CLI's
+    ``checker_problems``): pairs as lists, edges sorted by (from, case), each
+    path a list of edge indices."""
     support = dominant_support(lam)
-    if not support:
-        return Certificate(lam, [], [], None, {}, "zero_module")
-    basepoint = support[0].m
     factory = _EdgeFactory(lam, support)
-    paths: dict[tuple[int, int], dict[str, list[CaseEdge]]] = {}
+    basepoint = support[0].m if support else None
+    paths: dict[tuple[int, int], dict[str, list[dict]]] = {}
     unreachable = []
     for p in support:
-        to_base = _replay_path(factory, p.m, basepoint)
-        from_base = _replay_path(factory, basepoint, p.m)
-        if to_base is None or from_base is None:
+        trip = {"to_basepoint": _replay_path(factory, p.m, basepoint),
+                "from_basepoint": _replay_path(factory, basepoint, p.m)}
+        if None in trip.values():
             unreachable.append(p.m)
-        paths[p.m] = {"to_basepoint": to_base or [],
-                      "from_basepoint": from_base or []}
-    edges = sorted({(e.source, e.case): e
-                    for trip in paths.values()
-                    for leg in trip.values() for e in leg}.values(),
-                   key=lambda e: (e.source, e.case))
-    index = {(e.source, e.case): i for i, e in enumerate(edges)}
-    indexed = {pt: {leg: [index[(e.source, e.case)] for e in trip[leg]]
-                    for leg in trip}
-               for pt, trip in paths.items()}
-    status = "unreachable" if unreachable else "irreducible"
-    return Certificate(lam, support, edges, basepoint, indexed, status,
-                       unreachable)
+        paths[p.m] = {leg: path or [] for leg, path in trip.items()}
+    edges = sorted({(*e["from"], e["case"]): e for trip in paths.values()
+                    for path in trip.values() for e in path}.items())
+    index = {key: i for i, (key, _) in enumerate(edges)}
+    return {
+        "lambda": list(lam),
+        "status": ("unreachable" if unreachable else "irreducible")
+                  if support else "zero_module",
+        "module_dimension": module_dimension(lam),
+        "support": [asdict(p) for p in support],
+        "basepoint": basepoint and list(basepoint),
+        "edges": [e for _, e in edges],
+        "paths": [{"point": list(pt),
+                   **{leg: [index[(*e["from"], e["case"])] for e in path]
+                      for leg, path in trip.items()}}
+                  for pt, trip in sorted(paths.items())],
+        "unreachable": [list(pt) for pt in sorted(unreachable)],
+    }
 
 
 # -- the independent certificate checker ---------------------------------------------------
 
 
-def validate_certificate(cert: Certificate) -> list[str]:
-    """Re-verify a certificate with plain loops, recomputing each edge scalar
-    from its closed form; returns a list of problems."""
-    problems = []
-    l1, l2 = cert.lam
+def _ints(v) -> bool:
+    return type(v) is list and all(type(x) is int for x in v)
+
+
+def _pair(v) -> bool:
+    return _ints(v) and len(v) == 2
+
+
+# the fields of a report, each a type or a test of the value; a dict stands
+# for a list of rows with those fields
+_REPORT_FIELDS = {
+    "lambda": _pair, "status": str, "module_dimension": int,
+    "support": dict.fromkeys(("m1", "m2", "nu1", "nu2"), int),
+    "basepoint": lambda v: v is None or _pair(v),
+    "edges": {"from": _pair, "to": _pair, "case": str, "scalar_num": int,
+              "scalar_den": int, "closed_form": str},
+    "paths": {"point": _pair, "to_basepoint": _ints, "from_basepoint": _ints},
+    "unreachable": lambda v: type(v) is list and all(map(_pair, v)),
+}
+
+
+def _unreadable(obj, fields: dict, where: str) -> list[str]:
+    """The fields of obj that are missing or have the wrong shape."""
+    if type(obj) is not dict:
+        return [f"{where} is not an object"]
+    out = []
+    for key, ok in fields.items():
+        if key not in obj:
+            out.append(f"{where} has no {key!r}")
+        elif type(ok) is dict and type(obj[key]) is list:
+            for i, row in enumerate(obj[key]):
+                out += _unreadable(row, ok, f"{key}[{i}]")
+        elif type(ok) is dict or (type(obj[key]) is not ok
+                                  if type(ok) is type else not ok(obj[key])):
+            out.append(f"{where} has an unreadable {key!r}: {obj[key]!r}")
+    return out
+
+
+def validate_certificate(report: dict) -> list[str]:
+    """Re-verify a certificate report, as ``certify`` returns it and
+    ``certify --json`` prints it, with plain loops: every field is read,
+    every edge scalar is recomputed from its row's closed form and every
+    path is followed.  Returns the problems found; a field that cannot be
+    read is one, never an exception."""
+    problems = _unreadable(report, _REPORT_FIELDS, "certificate")
+    if problems:
+        return problems
+    lam = tuple(report["lambda"])
     # independent support enumeration
-    expected = set()
-    for m1 in range(max(l1 + l2, 0) + 1):
-        for m2 in range(max(l1 + l2, 0) + 1):
-            q = SupportPoint.at(cert.lam, m1, m2)
-            if q.nu1 >= 0 and q.nu2 >= 0:
-                expected.add(q.m)
-    got = {p.m for p in cert.support}
+    span = range(max(sum(lam), 0) + 1)
+    expected = {(m1, m2) for m1 in span for m2 in span
+                if min(weight_at(lam, m1, m2)) >= 0}
+    keys = {"support": [(p["m1"], p["m2"]) for p in report["support"]],
+            "edges": [(*e["from"], e["case"]) for e in report["edges"]],
+            "paths": [tuple(r["point"]) for r in report["paths"]]}
+    problems += [f"{name} lists an entry twice" for name, listed in keys.items()
+                 if len(set(listed)) < len(listed)]
+    got = set(keys["support"])
     if expected != got:
         problems.append(f"support mismatch: {sorted(expected ^ got)}")
+    if report["module_dimension"] != module_dimension(lam):
+        problems.append(f"module_dimension {report['module_dimension']} is "
+                        f"not {module_dimension(lam)}")
+    status = report["status"]
     if not expected:
-        if cert.status != "zero_module":
-            problems.append("empty support must be a zero-module certificate")
+        if [status, report["basepoint"], report["edges"], report["paths"],
+                report["unreachable"]] != ["zero_module", None, [], [], []]:
+            problems.append("empty support must be a zero-module certificate "
+                            "that lists nothing else")
         return problems
-    if cert.status == "zero_module":
-        problems.append("nonempty support marked as zero module")
-        return problems
-    for p in cert.support:
-        if p.nu1 < 0 or p.nu2 < 0:
-            problems.append(f"non-dominant support point {p}")
-        if p != SupportPoint.at(cert.lam, p.m1, p.m2):
-            problems.append(f"wrong weight at {p.m}")
-    for e in cert.edges:
-        if e.scalar == 0:
-            problems.append(f"zero scalar on {e}")
-        if e.source not in got or e.target not in got:
-            problems.append(f"edge endpoint outside support: {e}")
-        if e.case not in MOVES:
-            problems.append(f"unknown case label on {e}")
+    unreachable = {tuple(pt) for pt in report["unreachable"]}
+    if not unreachable <= got or \
+            status != ("unreachable" if unreachable else "irreducible"):
+        problems.append(f"status {status} does not fit the unreachable "
+                        f"points {sorted(unreachable)}")
+    for p in report["support"]:
+        if (p["nu1"], p["nu2"]) != weight_at(lam, p["m1"], p["m2"]):
+            problems.append(f"wrong weight at {(p['m1'], p['m2'])}")
+    edges = report["edges"]
+    for i, e in enumerate(edges):
+        source, target, case = tuple(e["from"]), tuple(e["to"]), e["case"]
+        num, den = e["scalar_num"], e["scalar_den"]
+        name = f"edge {i} ({case}: {source} -> {target})"
+        scalar = Fraction(num, den) if den else None
+        if num == 0:
+            problems.append(f"zero scalar on {name}")
+        if scalar is None or scalar.as_integer_ratio() != (num, den):
+            problems.append(f"scalar {num}/{den} of {name} is not in lowest "
+                            "terms over a positive denominator")
+        if source not in got or target not in got:
+            problems.append(f"edge endpoint outside support: {name}")
+        if case not in MOVES:
+            problems.append(f"unknown case label on {name}")
             continue
-        dm1, dm2 = MOVES[e.case].step
-        if (e.source[0] + dm1, e.source[1] + dm2) != e.target:
-            problems.append(f"edge target inconsistent with case: {e}")
-        point = SupportPoint.at(cert.lam, *e.source)
-        source_nu = MOVES[e.case].source_nu
-        if source_nu not in (None, (point.nu1, point.nu2)):
-            problems.append(f"case {e.case} edge away from nu = {source_nu}: {e}")
-        want = closed_form_value(e.case, point)
-        if e.scalar != want:
-            problems.append(f"scalar of {e} differs from the closed form "
+        move = MOVES[case]
+        if e["closed_form"] != move.closed_form:
+            problems.append(f"closed_form of {name} is not the row's "
+                            f"{move.closed_form!r}")
+        if (source[0] + move.step[0], source[1] + move.step[1]) != target:
+            problems.append(f"edge target inconsistent with case: {name}")
+        point = SupportPoint.at(lam, *source)
+        if move.source_nu not in (None, (point.nu1, point.nu2)):
+            problems.append(f"case {case} edge away from nu = "
+                            f"{move.source_nu}: {name}")
+        want = closed_form_value(case, point)
+        if scalar is not None and scalar != want:
+            problems.append(f"scalar of {name} differs from the closed form "
                             f"value {want}")
-    if cert.status == "irreducible":
-        for pt in sorted(expected):
-            trip = cert.paths.get(pt, {})
-            for leg, start, goal in (("to_basepoint", pt, cert.basepoint),
-                                     ("from_basepoint", cert.basepoint, pt)):
-                if leg not in trip:
-                    problems.append(f"path of {pt} ({leg}) is missing")
-                    continue
-                cur = start
-                for idx in trip[leg]:
-                    if not 0 <= idx < len(cert.edges):
-                        problems.append(
-                            f"path of {pt} ({leg}) names edge {idx}, which "
-                            "does not exist")
-                        break
-                    e = cert.edges[idx]
-                    if e.source != cur:
-                        problems.append(f"broken path at {pt} ({leg})")
-                        break
-                    cur = e.target
-                else:
-                    if cur != goal:
-                        problems.append(f"path of {pt} ({leg}) ends at {cur}")
+    base = report["basepoint"] and tuple(report["basepoint"])
+    if base not in got:
+        problems.append(f"basepoint {base} is not in the support")
+    paths = {tuple(r["point"]): r for r in report["paths"]}
+    for pt in sorted(expected - unreachable):
+        if pt not in paths:
+            problems.append(f"paths of {pt} are missing")
+            continue
+        for leg, start, goal in (("to_basepoint", pt, base),
+                                 ("from_basepoint", base, pt)):
+            cur = start
+            for idx in paths[pt][leg]:
+                if not 0 <= idx < len(edges):
+                    problems.append(f"path of {pt} ({leg}) names edge {idx}, "
+                                    "which does not exist")
+                    break
+                if tuple(edges[idx]["from"]) != cur:
+                    problems.append(f"broken path at {pt} ({leg})")
+                    break
+                cur = tuple(edges[idx]["to"])
+            else:
+                if cur != goal:
+                    problems.append(f"path of {pt} ({leg}) ends at {cur}")
     return problems

@@ -509,7 +509,6 @@ def check_chi_values(cfg):
 
 def check_casimir_alpha_free(cfg):
     sig = P.monomial_section()
-    chi = P.central_character(*_sym_nu())
     B = P.BIG_TABLE
     samples = [B.one(), B.var("U12") * B.var("U21"),
                B.var("U13") * B.var("U31") + B.var("U23"),
@@ -518,7 +517,7 @@ def check_casimir_alpha_free(cfg):
     nonzero_seen = False
     for f in samples:
         fm = P.big_to_matrix_deg0(RatFunc.from_poly(f))
-        res = P.casimir_apply(sig.scale(fm)) + sig.scale(-chi * fm)
+        res = CERT.apply_filters(sig.scale(fm), [(0, 0)], _sym_nu())
         if res.is_zero():
             continue
         nonzero_seen = True
@@ -551,7 +550,6 @@ def check_casimir_lemma_operator(cfg):
              + op_compose(pd("U13"), pd("U31")).scale(a1 * a2)
              ).scale(Fraction(1, 3))
     sig = P.monomial_section()
-    chi = P.central_character(*_sym_nu())
     unames = ("U12", "U21", "U13", "U31", "U23", "U32")
     samples = [B.one()]
     samples += [B.var(u) for u in unames]
@@ -565,7 +563,7 @@ def check_casimir_lemma_operator(cfg):
     for f in samples:
         fb = RatFunc.from_poly(f)
         fm = P.big_to_matrix_deg0(fb)
-        lhs = P.casimir_apply(sig.scale(fm)) + sig.scale(-chi * fm)
+        lhs = CERT.apply_filters(sig.scale(fm), [(0, 0)], _sym_nu())
         rhs = sig.scale(P.big_to_matrix_deg0(op_apply(omega, fb)))
         if lhs != rhs:
             return "fail", f"lemma operator fails on f = {f.to_text()}"
@@ -739,10 +737,10 @@ def check_case_signs(cfg):
 def check_certificates_small(cfg):
     for lam, want in (((1, 1), "irreducible"), ((0, 0), "irreducible"),
                       ((-1, 0), "zero_module"), ((2, 1), "irreducible")):
-        cert = CERT.certify(lam)
-        if cert.status != want:
-            return "fail", f"certify{lam} gave {cert.status}"
-        problems = CERT.validate_certificate(cert)
+        report = CERT.certify(lam)
+        if report["status"] != want:
+            return "fail", f"certify{lam} gave {report['status']}"
+        problems = CERT.validate_certificate(report)
         if problems:
             return "fail", f"checker rejected certify{lam}: {problems}"
     return "pass", "small certificates build and re-validate"
@@ -908,22 +906,12 @@ def suite_names() -> list[str]:
 
 
 def checks_for(selection: str) -> dict:
-    if selection == "all":
-        out = {}
-        for suite in SUITES.values():
-            out.update(suite)
-        return out
-    return dict(SUITES[selection])
+    suites = SUITES.values() if selection == "all" else [SUITES[selection]]
+    return {check_id: fn for suite in suites for check_id, fn in suite.items()}
 
 
 def run_check(check_id: str, cfg: CheckConfig) -> CheckResult:
-    fn = None
-    for suite in SUITES.values():
-        if check_id in suite:
-            fn = suite[check_id]
-            break
-    if fn is None:
-        raise KeyError(check_id)
+    fn = checks_for("all")[check_id]
     start = time.monotonic()
     try:
         status, details = fn(cfg)

@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import certify as CERT
 from . import checks as CK
@@ -45,6 +46,8 @@ CHARTS = {
 
 def _unwritable(path: str) -> str | None:
     """Why a report cannot be written to path, or None if it can."""
+    if not path:
+        return "it is empty"
     if os.path.isdir(path):
         return "it is a directory"
     folder = os.path.dirname(path) or "."
@@ -57,7 +60,7 @@ def _unwritable(path: str) -> str | None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    if not path:
+    if path is None:
         return
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
@@ -73,33 +76,31 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    lam = (args.lam[0], args.lam[1])
-    cert = CERT.certify(lam)
-    problems = CERT.validate_certificate(cert)
-    data = cert.to_json()
-    data["checker_problems"] = problems
-    print(_certificate_transcript(cert, problems))
-    _write_json(args.json, CK.report_json(certificates=[data]))
-    if problems or cert.status == "unreachable":
-        return 1
-    return 0
+    report = CERT.certify((args.lam[0], args.lam[1]))
+    problems = CERT.validate_certificate(report)
+    print(_certificate_transcript(report, problems))
+    report["checker_problems"] = problems
+    _write_json(args.json, CK.report_json(certificates=[report]))
+    return 1 if problems or report["status"] == "unreachable" else 0
 
 
-def _certificate_transcript(cert, problems) -> str:
-    lines = [f"lambda = {cert.lam}: {cert.status}, "
-             f"module dimension {CERT.module_dimension(cert.lam)}"]
-    if cert.status == "zero_module":
+def _certificate_transcript(report: dict, problems: list[str]) -> str:
+    lines = [f"lambda = {tuple(report['lambda'])}: {report['status']}, "
+             f"module dimension {report['module_dimension']}"]
+    if report["status"] == "zero_module":
         lines.append("empty dominant support: the section space is zero")
     else:
-        lines.append(f"support ({len(cert.support)} points): "
-                     + ", ".join(f"m={p.m} nu=({p.nu1},{p.nu2})"
-                                 for p in cert.support))
-        lines.append(f"basepoint m={cert.basepoint}")
-        for e in cert.edges:
-            lines.append(f"  case {e.case}: {e.source} -> {e.target}  "
-                         f"scalar {e.scalar}  [{CERT.MOVES[e.case].closed_form}]")
-        if cert.unreachable:
-            lines.append(f"UNREACHABLE points: {cert.unreachable} "
+        lines.append(f"support ({len(report['support'])} points): " + ", ".join(
+            "m=({m1}, {m2}) nu=({nu1},{nu2})".format(**p)
+            for p in report["support"]))
+        lines.append(f"basepoint m={tuple(report['basepoint'])}")
+        lines += [f"  case {e['case']}: {tuple(e['from'])} -> "
+                  f"{tuple(e['to'])}  scalar "
+                  f"{Fraction(e['scalar_num'], e['scalar_den'])}  "
+                  f"[{e['closed_form']}]" for e in report["edges"]]
+        if report["unreachable"]:
+            lines.append(f"UNREACHABLE points: "
+                         f"{[tuple(pt) for pt in report['unreachable']]} "
                          "(this would contradict the irreducibility claim)")
     lines.append("checker: " + ("ok" if not problems else "; ".join(problems)))
     return "\n".join(lines)
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     json_path = getattr(args, "json", None)
-    if json_path and (why := _unwritable(json_path)):
+    if json_path is not None and (why := _unwritable(json_path)):
         print(f"{args.command}: cannot write --json {json_path}: {why}",
               file=sys.stderr)
         return 2

@@ -192,7 +192,7 @@ def mixed_derivative_cone() -> DiffOp:
     return homogenize(mixed_derivative_entry(), CONE, "S11")
 
 
-def cone_nilpotency_depths(limit: int = 12) -> dict[str, int | None]:
+def cone_nilpotency_depths(limit: int) -> dict[str, int | None]:
     d = mixed_derivative_cone()
     return {label: ad_nilpotency_depth(d, generator_field_cone(label), limit)
             for label in NILPOTENT_LABELS}

@@ -117,9 +117,8 @@ class Generator:
             raise ValueError("factor must be 'left' or 'right'")
 
     @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(e) for e in row)
-                     for row in _GEN_MATRICES[self.label])
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        return _GEN_MATRICES[self.label]
 
 
 def mat_mul(a, b, zero=0):
@@ -148,19 +147,15 @@ class WeylElement:
     """
 
     label: str
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
 
     def inverse(self) -> "WeylElement":
         return WeylElement(f"{self.label}^-1", tuple(zip(*self.matrix)))
 
 
-def _fr(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-W_E = WeylElement("e", _fr([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-W_S1 = WeylElement("s1", _fr([[0, 1, 0], [-1, 0, 0], [0, 0, 1]]))
-W_S2 = WeylElement("s2", _fr([[1, 0, 0], [0, 0, 1], [0, -1, 0]]))
+W_E = WeylElement("e", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+W_S1 = WeylElement("s1", ((0, 1, 0), (-1, 0, 0), (0, 0, 1)))
+W_S2 = WeylElement("s2", ((1, 0, 0), (0, 0, 1), (0, -1, 0)))
 W_S1S2 = WeylElement("s1s2", mat_mul(W_S1.matrix, W_S2.matrix))
 W_S2S1 = WeylElement("s2s1", mat_mul(W_S2.matrix, W_S1.matrix))
 W_LONG = WeylElement("w0", mat_mul(W_S1S2.matrix, W_S1.matrix))
@@ -605,16 +600,11 @@ def casimir_apply(s: PowerSection) -> PowerSection:
 
 def central_character(mu1, mu2) -> RatFunc:
     """Scalar action of the Casimir on the simple module of highest weight mu:
-    (mu1 + mu2)/3 + (mu1^2 + mu1 mu2 + mu2^2)/9, over Fractions when both
-    weights are constant."""
+    (mu1 + mu2)/3 + (mu1^2 + mu1 mu2 + mu2^2)/9, formed in ``Poly``."""
     e1, e2 = _exponent(mu1), _exponent(mu2)
-    if e1.is_constant() and e2.is_constant():
-        a, b = e1.constant_value(), e2.constant_value()
-        return RatFunc.const(e1.table,
-                             (a + b) / 3 + (a * a + a * b + b * b) / 9)
-    p1, p2 = RatFunc.from_poly(e1), RatFunc.from_poly(e2)
-    return (p1 + p2).scale(Fraction(1, 3)) + \
-        (p1 * p1 + p1 * p2 + p2 * p2).scale(Fraction(1, 9))
+    chi = (e1 + e2).scale(Fraction(1, 3)) \
+        + (e1 * e1 + e1 * e2 + e2 * e2).scale(Fraction(1, 9))
+    return RatFunc.from_poly(chi)
 
 
 # -- Weyl twists ------------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def commutator(A: DiffOp, B: DiffOp) -> DiffOp:
     return op_compose(A, B) - op_compose(B, A)
 
 
-def ad_nilpotency_depth(A: DiffOp, V: DiffOp, limit: int = 12) -> int | None:
+def ad_nilpotency_depth(A: DiffOp, V: DiffOp, limit: int) -> int | None:
     """Smallest n <= limit with ad(V)^n(A) = 0, or None if not reached."""
     cur = A
     for n in range(1, limit + 1):

@@ -22,6 +22,7 @@ on record:
 import itertools
 import json
 import time
+from fractions import Fraction
 
 from pgl3dops import certify as CERT
 from pgl3dops import checks as CK
@@ -215,10 +216,10 @@ def test_criterion_08_certificate_grid():
     start = time.monotonic()
     for l1 in range(5):
         for l2 in range(5):
-            cert = CERT.certify((l1, l2))
-            assert cert.status in ("irreducible", "zero_module"), \
+            report = CERT.certify((l1, l2))
+            assert report["status"] in ("irreducible", "zero_module"), \
                 f"CRITERION 8: FAIL — unreachable points at lambda=({l1},{l2})"
-            problems = CERT.validate_certificate(cert)
+            problems = CERT.validate_certificate(report)
             assert not problems, \
                 f"CRITERION 8: FAIL — checker rejected lambda=({l1},{l2}): {problems}"
     _finish(8, "all 25 certificates on the [0,4]^2 grid are connected and "
@@ -230,12 +231,15 @@ def test_criterion_08_edge_scalars_reevaluated():
     # equals the recorded closed form
     start = time.monotonic()
     for lam in ((2, 2), (4, 3), (1, 4)):
-        cert = CERT.certify(lam)
-        points = {p.m: p for p in cert.support}
-        for e in cert.edges:
-            again = CERT.case_scalar(lam, points[e.source], e.case)
-            assert again == e.scalar
-            assert CERT.closed_form_value(e.case, points[e.source]) == e.scalar
+        report = CERT.certify(lam)
+        points = {(p["m1"], p["m2"]): CERT.SupportPoint(**p)
+                  for p in report["support"]}
+        for e in report["edges"]:
+            source, scalar = tuple(e["from"]), \
+                Fraction(e["scalar_num"], e["scalar_den"])
+            again = CERT.case_scalar(lam, points[source], e["case"])
+            assert again == scalar
+            assert CERT.closed_form_value(e["case"], points[source]) == scalar
     _finish(8, "edge scalars re-evaluated through the operators match the "
                "recorded values and closed forms", start, 900)
 

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import copy
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -193,7 +195,7 @@ def test_no_fallback_on_the_sweep_weights(monkeypatch):
     # a spare flag in MOVES that a move needs would show up here
     failures = _count_express_failures(monkeypatch)
     for lam in SWEEP_WEIGHTS:
-        assert C.certify(lam).status == "irreducible", lam
+        assert C.certify(lam)["status"] == "irreducible", lam
     assert failures[0] == 0
 
 
@@ -212,7 +214,7 @@ def test_a_wrong_spare_flag_falls_back(monkeypatch):
 
 def test_every_row_closed_form_evaluates():
     # each row's text, evaluated through closed_form_value, is the scalar of
-    # the edges the factory builds for that case
+    # the edges the factory builds for that case, and the edges carry it
     found = set()
     for lam in ((1, 1), (2, 2)):
         factory = C._EdgeFactory(lam, C.dominant_support(lam))
@@ -220,7 +222,9 @@ def test_every_row_closed_form_evaluates():
             for case in C.MOVES:
                 edge = factory.get(m, case)
                 if edge is not None:
-                    assert edge.scalar == C.closed_form_value(case, p)
+                    assert Fraction(edge["scalar_num"], edge["scalar_den"]) \
+                        == C.closed_form_value(case, p)
+                    assert edge["closed_form"] == C.MOVES[case].closed_form
                     found.add(case)
     assert found == set(C.MOVES)
 
@@ -237,98 +241,142 @@ def test_factory_keeps_case4_to_its_source_weight():
 
 
 def test_certify_small_examples():
-    cert = C.certify((1, 1))
-    assert cert.status == "irreducible"
-    assert {(e.source, e.target, e.case) for e in cert.edges} == \
+    report = C.certify((1, 1))
+    assert report["status"] == "irreducible"
+    assert {(tuple(e["from"]), tuple(e["to"]), e["case"])
+            for e in report["edges"]} == \
         {((1, 1), (0, 0), "1"), ((0, 0), (1, 1), "4")}
-    assert C.validate_certificate(cert) == []
+    assert C.validate_certificate(report) == []
 
-    cert = C.certify((0, 0))
-    assert cert.status == "irreducible" and cert.edges == []
-    assert C.validate_certificate(cert) == []
+    report = C.certify((0, 0))
+    assert report["status"] == "irreducible" and report["edges"] == []
+    assert C.validate_certificate(report) == []
 
-    cert = C.certify((-1, 0))
-    assert cert.status == "zero_module"
-    assert C.validate_certificate(cert) == []
+    report = C.certify((-1, 0))
+    assert report["status"] == "zero_module"
+    assert C.validate_certificate(report) == []
 
 
 def test_certify_grid_row():
     for lam in ((2, 0), (0, 3), (2, 2)):
-        cert = C.certify(lam)
-        assert cert.status in ("irreducible", "zero_module")
-        assert C.validate_certificate(cert) == []
+        report = C.certify(lam)
+        assert report["status"] in ("irreducible", "zero_module")
+        assert C.validate_certificate(report) == []
+
+
+def _checked(report, edit):
+    """The checker's problems with a deep copy of report after edit(copy)."""
+    bad = copy.deepcopy(report)
+    edit(bad)
+    return C.validate_certificate(bad)
 
 
 def test_checker_rejects_corruption():
-    cert = C.certify((2, 1))
-    assert cert.status == "irreducible"
+    report = C.certify((2, 1))
+    assert report["status"] == "irreducible"
+    first = report["edges"][0]
+    name = f"edge 0 ({first['case']}: {tuple(first['from'])} -> " \
+           f"{tuple(first['to'])})"
+
+    def edit_first(**fields):
+        return lambda bad: bad["edges"][0].update(fields)
+
     # corrupt one edge's target
-    bad = C.Certificate(cert.lam, cert.support,
-                        [C.CaseEdge(e.source, (9, 9), e.case, e.scalar)
-                         if i == 0 else e
-                         for i, e in enumerate(cert.edges)],
-                        cert.basepoint, cert.paths, cert.status)
-    assert C.validate_certificate(bad)
+    assert _checked(report, edit_first(to=[9, 9]))
     # remove a support point
-    bad2 = C.Certificate(cert.lam, cert.support[1:], cert.edges,
-                         cert.basepoint, cert.paths, cert.status)
-    assert C.validate_certificate(bad2)
+    assert _checked(report, lambda bad: bad["support"].pop(0))
     # an unknown case label is reported, not raised
-    bad3 = C.Certificate(cert.lam, cert.support,
-                         [C.CaseEdge(e.source, e.target, "zz", e.scalar)
-                          if i == 0 else e
-                          for i, e in enumerate(cert.edges)],
-                         cert.basepoint, cert.paths, cert.status)
-    problems = C.validate_certificate(bad3)
+    problems = _checked(report, edit_first(case="zz"))
     assert any("unknown case label" in p for p in problems)
     # a wrong nonzero scalar is reported
-    first = cert.edges[0]
-    assert first.scalar == Fraction(-2560, 81)
-    corrupt = C.CaseEdge(first.source, first.target, first.case, Fraction(7))
-    bad5 = C.Certificate(cert.lam, cert.support, [corrupt] + cert.edges[1:],
-                         cert.basepoint, cert.paths, cert.status)
-    assert C.validate_certificate(bad5)
+    assert Fraction(first["scalar_num"], first["scalar_den"]) == \
+        Fraction(-2560, 81)
+    assert _checked(report, edit_first(scalar_num=7, scalar_den=1))
+    # a zero scalar is reported
+    problems = _checked(report, edit_first(scalar_num=0))
+    assert f"zero scalar on {name}" in problems
+    # a zero or negative denominator, and the right value unreduced
+    for num, den in ((-2560, 0), (2560, -81), (-5120, 162)):
+        problems = _checked(report, edit_first(scalar_num=num,
+                                               scalar_den=den))
+        assert problems == [f"scalar {num}/{den} of {name} is not in lowest "
+                            "terms over a positive denominator"], (num, den)
+    # a closed form that is not the row's text, though it has the same value
+    problems = _checked(report, edit_first(
+        closed_form=C.MOVES[first["case"]].closed_form + " + 0"))
+    assert len(problems) == 1 and problems[0].startswith(
+        f"closed_form of {name}")
+    # a wrong module dimension
+    problems = _checked(report, lambda bad: bad.update(module_dimension=1))
+    assert problems == [f"module_dimension 1 is not "
+                        f"{C.module_dimension((2, 1))}"]
+    # fields that cannot be read: a missing edge key, a wrong type, a row
+    # that is no object, a report that is no object
+    assert _checked(report, lambda bad: bad["edges"][0].pop("closed_form")) \
+        == ["edges[0] has no 'closed_form'"]
+    assert _checked(report, lambda bad: bad.update({"lambda": "2,1"})) == \
+        ["certificate has an unreadable 'lambda': '2,1'"]
+    assert _checked(report, edit_first(scalar_den=81.0)) == \
+        ["edges[0] has an unreadable 'scalar_den': 81.0"]
+    assert _checked(report, lambda bad: bad["support"].append(None)) == \
+        [f"support[{len(report['support'])}] is not an object"]
+    assert C.validate_certificate([]) == ["certificate is not an object"]
+    # a row listed twice, a status that does not fit the unreachable points,
+    # a basepoint outside the support, a zero module that lists a basepoint
+    for field in ("support", "edges", "paths"):
+        assert _checked(report, lambda bad: bad[field].append(
+            copy.deepcopy(bad[field][0]))) == [f"{field} lists an entry twice"]
+    assert _checked(report, lambda bad: bad.update(status="unreachable")) == \
+        ["status unreachable does not fit the unreachable points []"]
+    assert _checked(report, lambda bad: bad.update(unreachable=[[0, 0]])) == \
+        ["status irreducible does not fit the unreachable points [(0, 0)]"]
+    assert "basepoint (9, 9) is not in the support" in \
+        _checked(report, lambda bad: bad.update(basepoint=[9, 9]))
+    assert _checked(C.certify((-1, 0)),
+                    lambda bad: bad.update(basepoint=[0, 0])) == \
+        ["empty support must be a zero-module certificate that lists "
+         "nothing else"]
     # a case-4 edge from a point away from the row's source weight carries
     # its closed form value, but the move has no scalar there
-    p = next(p for p in cert.support if p.m == (0, 0))
+    p = C.SupportPoint(**next(row for row in report["support"]
+                              if (row["m1"], row["m2"]) == (0, 0)))
     assert (p.nu1, p.nu2) != C.MOVES["4"].source_nu
-    forged = C.CaseEdge((0, 0), (1, 1), "4", C.closed_form_value("4", p))
-    bad6 = C.Certificate(cert.lam, cert.support, cert.edges + [forged],
-                         cert.basepoint, cert.paths, cert.status)
-    assert any("case 4" in msg for msg in C.validate_certificate(bad6))
+    value = C.closed_form_value("4", p)
+    forged = {"from": [0, 0], "to": [1, 1], "case": "4",
+              "scalar_num": value.numerator, "scalar_den": value.denominator,
+              "closed_form": C.MOVES["4"].closed_form}
+    problems = _checked(report, lambda bad: bad["edges"].append(forged))
+    assert any("case 4" in msg for msg in problems)
     # corrupt paths are reported, not raised: an edge index past the end, a
     # missing leg, a negative index naming the right edge from the end, and
     # a support point whose paths were dropped
-    pt = next(pt for pt, trip in cert.paths.items() if trip["to_basepoint"])
-    trip = cert.paths[pt]
-    wrapped = [i - len(cert.edges) for i in trip["to_basepoint"]]
+    at = next(i for i, trip in enumerate(report["paths"])
+              if trip["to_basepoint"])
+    trip = report["paths"][at]
+    wrapped = [i - len(report["edges"]) for i in trip["to_basepoint"]]
     for trip_at_pt in ({**trip, "to_basepoint": [999]},
-                       {"to_basepoint": trip["to_basepoint"]},
+                       {"point": trip["point"],
+                        "to_basepoint": trip["to_basepoint"]},
                        {**trip, "to_basepoint": wrapped},
                        None):
-        paths = {k: v for k, v in cert.paths.items() if k != pt}
-        if trip_at_pt is not None:
-            paths[pt] = trip_at_pt
-        bad4 = C.Certificate(cert.lam, cert.support, cert.edges,
-                             cert.basepoint, paths, cert.status)
-        assert C.validate_certificate(bad4), trip_at_pt
+        def edit(bad):
+            if trip_at_pt is None:
+                del bad["paths"][at]
+            else:
+                bad["paths"][at] = trip_at_pt
+        assert _checked(report, edit), trip_at_pt
     # a chain that skips its first edge starts at the wrong point; the cut
     # leg still ends at the basepoint, so only the chain check catches it
-    cert22 = C.certify((2, 2))
-    trip = cert22.paths[(2, 2)]
-    assert trip["to_basepoint"] == [7, 5]
-    paths = {**cert22.paths, (2, 2): {**trip, "to_basepoint": [5]}}
-    forged_chain = C.Certificate(cert22.lam, cert22.support, cert22.edges,
-                                 cert22.basepoint, paths, cert22.status)
-    assert C.validate_certificate(forged_chain) == \
-        ["broken path at (2, 2) (to_basepoint)"]
-    # zero scalar cannot even be constructed
-    with pytest.raises(ValueError):
-        C.CaseEdge((1, 0), (0, 0), "2a", Fraction(0))
+    report22 = C.certify((2, 2))
+    at = next(i for i, trip in enumerate(report22["paths"])
+              if trip["point"] == [2, 2])
+    assert report22["paths"][at]["to_basepoint"] == [7, 5]
+    assert _checked(report22, lambda bad: bad["paths"][at].update(
+        to_basepoint=[5])) == ["broken path at (2, 2) (to_basepoint)"]
 
 
 def test_certificate_json_shape():
-    data = C.certify((1, 1)).to_json()
+    data = C.certify((1, 1))
     assert set(data) == {"lambda", "status", "module_dimension", "support",
                          "basepoint", "edges", "paths", "unreachable"}
     assert data["lambda"] == [1, 1]
@@ -337,6 +385,13 @@ def test_certificate_json_shape():
         assert e["scalar_num"] != 0
         assert set(e) == {"from", "to", "case", "scalar_num", "scalar_den",
                           "closed_form"}
+
+
+def test_report_survives_json_round_trip():
+    # the checked object is exactly what the printed bytes hold
+    for lam in ((1, 1), (0, 0), (-1, 0), (2, 1), (2, 2), (3, 1), (1, 4)):
+        report = C.certify(lam)
+        assert json.loads(json.dumps(report)) == report, lam
 
 
 def test_case2b_strictly_negative_on_interior():

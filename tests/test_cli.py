@@ -172,9 +172,9 @@ def test_usage_error_exit_two():
                          ids=["verify", "certify", "concordance"])
 def test_unwritable_json_path_exits_two_before_any_work(tmp_path, capsys,
                                                        argv):
-    # a missing directory and a directory are refused with one stderr line
-    # naming the path, before anything is computed or printed
-    for path in (tmp_path / "missing" / "report.json", tmp_path):
+    # a missing directory, a directory and an empty path are refused with
+    # one stderr line naming the path, before anything is computed or printed
+    for path in (tmp_path / "missing" / "report.json", tmp_path, ""):
         assert cli.main(argv + ["--json", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -6,8 +6,9 @@ each symbolic suite, ``verify cases --grid N`` and ``certify`` for the four
 recorded weights with the fewest edges, so a change that alters a printed
 byte of any of them fails tier-1 and not only the benchmark.  The benchmark
 does not run ``concordance``, the one report that prints the big-cell fields
-and twist corrections, so its digest is pinned here, and so is one digest
-over the ``certify`` reports and exit codes of every small weight.
+and twist corrections, so its digest is pinned here, and so are one digest
+over the ``certify`` reports and exit codes of every small weight and one
+over their transcripts.
 """
 
 import contextlib
@@ -32,6 +33,11 @@ CONCORDANCE_SHA256 = \
 # [0,4]^2 and (-1, 0), joined by newlines
 SMALL_CERTIFICATES_SHA256 = \
     "03b20188dbb882a4f411d4835526bc92d458d798c9633b967521810122564e10"
+
+# the same over the stdout of `certify` without --json: "l1,l2 exit_code
+# sha256(stdout)"
+SMALL_TRANSCRIPTS_SHA256 = \
+    "ef0982bfa34d6c3e72fe74eee0e06676c5fbc8929f8c027ef9c82eb61feb3ab5"
 
 
 def _reports():
@@ -73,3 +79,16 @@ def test_small_certificates_digest(tmp_path):
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         SMALL_CERTIFICATES_SHA256
+
+
+def test_small_certificate_transcripts_digest():
+    lines = []
+    for l1, l2 in [*itertools.product(range(5), repeat=2), (-1, 0)]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["certify", "--lambda", str(l1), str(l2)])
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        lines.append(f"{l1},{l2} {code} {digest}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SMALL_TRANSCRIPTS_SHA256
