@@ -322,6 +322,14 @@ def _unreadable(obj, fields: dict, where: str) -> list[str]:
     return out
 
 
+def _dominant_count(lam: tuple[int, int]) -> int:
+    """The number of dominant points of lam: for each m1 >= 0 the m2 >= 0
+    with nu1 = lam2 - 2 m1 + m2 >= 0 and nu2 = lam1 + m1 - 2 m2 >= 0 form
+    the interval [max(0, 2 m1 - lam2), (lam1 + m1) // 2]."""
+    return sum(max(0, (lam[0] + m1) // 2 - max(0, 2 * m1 - lam[1]) + 1)
+               for m1 in range(max(sum(lam), 0) + 1))
+
+
 def validate_certificate(report: dict) -> list[str]:
     """Re-verify a certificate report, as ``certify`` returns it and
     ``certify --json`` prints it, with plain loops: every field is read,
@@ -332,16 +340,22 @@ def validate_certificate(report: dict) -> list[str]:
     if problems:
         return problems
     lam = tuple(report["lambda"])
-    # independent support enumeration
-    span = range(max(sum(lam), 0) + 1)
-    expected = {(m1, m2) for m1 in span for m2 in span
-                if min(weight_at(lam, m1, m2)) >= 0}
     keys = {"support": [(p["m1"], p["m2"]) for p in report["support"]],
             "edges": [(*e["from"], e["case"]) for e in report["edges"]],
             "paths": [tuple(r["point"]) for r in report["paths"]]}
     problems += [f"{name} lists an entry twice" for name, listed in keys.items()
                  if len(set(listed)) < len(listed)]
     got = set(keys["support"])
+    # the count costs one step per m1, so a lambda far larger than the listed
+    # support is refused before the enumeration below
+    if (count := _dominant_count(lam)) != len(got):
+        problems.append(f"support mismatch: {count} dominant points, "
+                        f"{len(got)} listed")
+        return problems
+    # independent support enumeration
+    span = range(max(sum(lam), 0) + 1)
+    expected = {(m1, m2) for m1 in span for m2 in span
+                if min(weight_at(lam, m1, m2)) >= 0}
     if expected != got:
         problems.append(f"support mismatch: {sorted(expected ^ got)}")
     if report["module_dimension"] != module_dimension(lam):

@@ -525,43 +525,41 @@ def _euler_weights(field: DiffOp) -> tuple:
     return tuple(weights.values())
 
 
-def _poly_weights(p: Poly, weights) -> tuple[int, int] | None:
-    """The common (H1, H2) weight of the monomials of p, or None if they
-    differ; only coordinate fields count, parameters carry no weight."""
+def _weight_parts(p: Poly, weights) -> dict[tuple[int, int], Poly]:
+    """p split by the (H1, H2) weight of its monomials, one part per weight
+    that occurs; only coordinate fields count, parameters carry no weight."""
     table, pbits = p.table, p.table.param_bits
-    found = set()
-    for coord_key in {key >> pbits for key in p.terms}:
-        exps = table.decode(coord_key << pbits)
-        found.add((sum(e * w1 for e, (w1, _) in zip(exps, weights)),
-                   sum(e * w2 for e, (_, w2) in zip(exps, weights))))
-    if len(found) > 1:
-        return None
-    return found.pop() if found else (0, 0)
+    parts: dict[tuple[int, int], dict] = {}
+    for key, c in p.terms.items():
+        exps = table.decode((key >> pbits) << pbits)
+        w = (sum(e * w1 for e, (w1, _) in zip(exps, weights)),
+             sum(e * w2 for e, (_, w2) in zip(exps, weights)))
+        parts.setdefault(w, {})[key] = c
+    return {w: Poly(table, terms) for w, terms in parts.items()}
 
 
-def left_weights(s: PowerSection) -> tuple[Poly, Poly] | None:
-    """(h1, h2) with H_k s = h_k s for the left Cartan fields, or None.
+def left_weights(s: PowerSection) -> list[tuple[Poly, Poly, Poly]]:
+    """One (h1, h2, part) per left weight of the numerator of s, with
+    H_k (part * bases) = h_k (part * bases) for the left Cartan fields.
 
-    The fields are Euler-type, so a section whose numerator and bases each
-    have one torus weight is a weight vector: h_k is the weight of the
-    numerator plus each exponent times the weight of its base, a parameter
-    polynomial over the matrix table (a constant when the exponents are).
-    None when some numerator or base mixes weights, or the chart is not over
-    the matrix table.
+    The fields are Euler-type, so a section whose bases each have one torus
+    weight splits into weight vectors along the weights of its numerator:
+    h_k is the weight of the part plus each exponent times the weight of its
+    base, a parameter polynomial over the matrix table (a constant when the
+    exponents are).  The parts sum to the numerator.  Raises ``ValueError``
+    when a base mixes weights or the chart is not over the matrix table.
     """
     if s.chart.table is not MATRIX_TABLE:
-        return None
+        raise ValueError(f"{s!r} is not over the matrix table")
     weights = _coordinate_weights()
-    w = _poly_weights(s.num, weights)
-    if w is None:
-        return None
-    h = [MATRIX_TABLE.const(w[0]), MATRIX_TABLE.const(w[1])]
+    h = [MATRIX_TABLE.zero(), MATRIX_TABLE.zero()]
     for base, exp in s.factors:
-        wb = _poly_weights(base, weights)
-        if wb is None:
-            return None
-        h = [hk + exp.scale(wk) for hk, wk in zip(h, wb)]
-    return h[0], h[1]
+        wb = _weight_parts(base, weights)
+        if len(wb) != 1:
+            raise ValueError(f"base {base.to_text()} mixes left weights")
+        h = [hk + exp.scale(wk) for hk, wk in zip(h, next(iter(wb)))]
+    return [(h[0] + w1, h[1] + w2, part)
+            for (w1, w2), part in _weight_parts(s.num, weights).items()]
 
 
 def casimir_apply(s: PowerSection) -> PowerSection:
@@ -573,10 +571,9 @@ def casimir_apply(s: PowerSection) -> PowerSection:
     integer-primitive, the integer operator
     9C = 3(H1 + H2) + (H1^2 + H2^2 + H1 H2) + 3(Y1 X1 + Y2 X2 + Y3 X3)
     is applied to the section with numerator p, and c/9 is applied once at
-    the end.  When ``left_weights`` finds p a weight vector (h1, h2), its
-    Cartan part is the scalar 3(h1 + h2) + h1^2 + h2^2 + h1 h2; otherwise
-    the five H actions are applied.  The six X and Y actions always go
-    through ``apply_generator``.
+    the end.  ``left_weights`` splits p into weight vectors (h1, h2), and the
+    Cartan part scales each by 3(h1 + h2) + h1^2 + h2^2 + h1 h2.  The six X
+    and Y actions go through ``apply_generator``.
     """
     if s.is_zero():
         return s
@@ -586,13 +583,10 @@ def casimir_apply(s: PowerSection) -> PowerSection:
     def ap(label, t):
         return apply_generator(Generator(label, "left"), t)
 
-    if (h := left_weights(p)) is not None:
-        h1, h2 = h
-        out = p.scale((h1 + h2).scale(3) + h1 * h1 + h2 * h2 + h1 * h2)
-    else:
-        h1, h2 = ap("H1", p), ap("H2", p)
-        out = (h1 + h2).scale(3)
-        out = out + (ap("H1", h1) + ap("H2", h2) + ap("H1", h2))
+    cartan = sum((part * ((h1 + h2).scale(3) + h1 * h1 + h2 * h2 + h1 * h2)
+                  for h1, h2, part in left_weights(p)),
+                 start=MATRIX_TABLE.zero())
+    out = PowerSection(s.chart, cartan, p.factors)
     out = out + (ap("Y1", ap("X1", p)) + ap("Y2", ap("X2", p))
                  + ap("Y3", ap("X3", p))).scale(3)
     return out.scale(c / 9)

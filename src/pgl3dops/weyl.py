@@ -616,13 +616,6 @@ class PowerSection:
             return False
         return n1 == n2
 
-    def same_factors(self, other: "PowerSection") -> bool:
-        try:
-            self._aligned(other)
-            return True
-        except ExpressFailure:
-            return False
-
     def ratio_to(self, other: "PowerSection") -> RatFunc:
         """self / other as a rational function (power products must align)."""
         if other.is_zero():
@@ -697,16 +690,6 @@ class PowerSection:
             return self
         factors = tuple((b, e + s) for (b, e), s in zip(self.factors, shifts))
         return PowerSection(self.chart, num, factors)
-
-    def concrete_ratfunc(self) -> RatFunc:
-        """Fold concrete integer exponents into an honest rational function."""
-        out = RatFunc.from_poly(self.num)
-        for base, exp in self.factors:
-            n = exp.constant_value()
-            if n.denominator != 1:
-                raise ValueError(f"fractional exponent {n} cannot be folded")
-            out = out * RatFunc.from_poly(base) ** int(n)
-        return out
 
     def to_text(self) -> str:
         parts = [f"({self.num.to_text()})"]

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import time
 
 import pytest
 
@@ -34,6 +35,12 @@ def test_dominant_support_brute_force_oracle():
                 if lam[1] - 2 * m1 + m2 >= 0 and lam[0] + m1 - 2 * m2 >= 0:
                     brute.add((m1, m2))
         assert got == brute
+
+
+def test_dominant_count_is_the_support_size():
+    # the checker's interval count against the enumerated support
+    for lam in itertools.product(range(-3, 9), repeat=2):
+        assert C._dominant_count(lam) == len(C.dominant_support(lam)), lam
 
 
 def test_module_dimension_examples():
@@ -310,6 +317,13 @@ def test_checker_rejects_corruption():
     problems = _checked(report, lambda bad: bad.update(module_dimension=1))
     assert problems == [f"module_dimension 1 is not "
                         f"{C.module_dimension((2, 1))}"]
+    # a lambda far larger than the listed support is refused by its count,
+    # before the support is enumerated
+    start = time.perf_counter()
+    problems = _checked(report, lambda bad: bad.update({"lambda": [10**6, 0]}))
+    assert time.perf_counter() - start < 10
+    assert problems == [f"support mismatch: {C._dominant_count((10**6, 0))} "
+                        f"dominant points, {len(report['support'])} listed"]
     # fields that cannot be read: a missing edge key, a wrong type, a row
     # that is no object, a report that is no object
     assert _checked(report, lambda bad: bad["edges"][0].pop("closed_form")) \

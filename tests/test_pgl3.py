@@ -328,14 +328,24 @@ def _random_weight_section(rng, symbolic):
 
 def test_left_weights_are_the_cartan_eigenvalues():
     rng = random.Random(22)
+    t = P.MATRIX_TABLE
+    most = 0
     for trial in range(12):
         s = _random_weight_section(rng, symbolic=trial % 2 == 1)
-        h = P.left_weights(s)
-        assert h is not None
-        for label, hk in zip(("H1", "H2"), h):
-            assert P.apply_generator(P.Generator(label), s) == s.scale(hk)
-        if trial % 2 == 0:
-            assert all(hk.is_constant() for hk in h)
+        if trial % 3:
+            # a second row pattern mixes the weights of the numerator
+            extra = _row_homogeneous(rng, (trial % 3,))
+            s = PowerSection(P.MATRIX, s.num + extra, s.factors)
+        parts = P.left_weights(s)
+        most = max(most, len(parts))
+        assert sum((part for *_, part in parts), start=t.zero()) == s.num
+        for h1, h2, part in parts:
+            v = PowerSection(P.MATRIX, part, s.factors)
+            for label, hk in (("H1", h1), ("H2", h2)):
+                assert P.apply_generator(P.Generator(label), v) == v.scale(hk)
+            if trial % 2 == 0:
+                assert h1.is_constant() and h2.is_constant()
+    assert most > 1
 
 
 def _composed_casimir(s):
@@ -343,18 +353,22 @@ def _composed_casimir(s):
     return op_apply_section(P.casimir_operator(), s / f) * f
 
 
-def test_mixed_weights_take_the_five_h_actions():
+def test_mixed_numerators_split_and_mixed_bases_raise():
     t = P.MATRIX_TABLE
     mixed_num = PowerSection(P.MATRIX, P.gvar(1, 1) + P.gvar(2, 1),
                              [(P.gvar(3, 3), P.lam1()), (P.minor(1, 1), 2)])
+    assert len(P.left_weights(mixed_num)) == 2
+    assert P.casimir_apply(mixed_num) == _composed_casimir(mixed_num)
     mixed_base = PowerSection(P.MATRIX, P.gvar(1, 2) * t.var("lam2"),
                               [(P.gvar(1, 1) + P.gvar(3, 2), -1),
                                (P.gvar(3, 3), P.lam2())])
-    for s in (mixed_num, mixed_base):
-        assert P.left_weights(s) is None
-        assert P.casimir_apply(s) == _composed_casimir(s)
+    for apply in (P.left_weights, P.casimir_apply):
+        with pytest.raises(ValueError, match="g32 mixes left weights"):
+            apply(mixed_base)
     big = PowerSection(P.BIG, P.BIG_TABLE.var("a1"))
-    assert P.left_weights(big) is None
+    for apply in (P.left_weights, P.casimir_apply):
+        with pytest.raises(ValueError, match="not over the matrix table"):
+            apply(big)
     with pytest.raises(ValueError):
         P._euler_weights(P.action_field_matrix(P.Generator("X1")))
 

@@ -1,5 +1,6 @@
-"""Property tests of the exact ring over a small variable table, and of the
-central character at constant weights."""
+"""Property tests of the exact ring over a small variable table, of the
+central character at constant weights, and of the Casimir on sections whose
+numerators mix left weights."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from pgl3dops import pgl3 as P
 from pgl3dops.ring import (Poly, RatFunc, VarTable, evaluate_text,
                            parse_ratfunc)
+from pgl3dops.weyl import PowerSection
+from test_pgl3 import _composed_casimir, _row_homogeneous
 
 TABLE = VarTable(coords=("x", "y"), params=("m",))
 
@@ -124,3 +127,29 @@ def test_central_character_at_constant_weights(a, b):
         chi = P.central_character(*mu)
         assert chi.den.is_one() and chi.table is t
         assert chi.num == t.const(value)
+
+
+ROW_PATTERNS = ((), (1,), (2,), (3,), (1, 1), (1, 2), (2, 3), (3, 3))
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.randoms(use_true_random=False), st.booleans(),
+       st.lists(st.sampled_from(ROW_PATTERNS), min_size=2, max_size=3,
+                unique=True))
+def test_casimir_on_mixed_numerators_is_the_composed_operator(rng, symbolic,
+                                                              patterns):
+    # each row pattern has its own left weight, over bases shared by all
+    t = P.MATRIX_TABLE
+    num = sum((_row_homogeneous(rng, rows) for rows in patterns),
+              start=t.zero())
+    bases = [P.gvar(rng.randint(1, 3), rng.randint(1, 3)),
+             P.minor(rng.randint(1, 3), rng.randint(1, 3)), P.det_g()]
+    factors = []
+    for base in rng.sample(bases, rng.randint(1, 2)):
+        exp = t.const(rng.randint(-3, 4))
+        if symbolic:
+            m = t.var(rng.choice(P.PARAMS[:4]))
+            exp = exp + m.scale(rng.randint(-2, 2))
+        factors.append((base, exp))
+    s = PowerSection(P.MATRIX, num, factors)
+    assert P.casimir_apply(s) == _composed_casimir(s)

@@ -6,7 +6,8 @@ each symbolic suite, ``verify cases --grid N`` and ``certify`` for the four
 recorded weights with the fewest edges, so a change that alters a printed
 byte of any of them fails tier-1 and not only the benchmark.  The benchmark
 does not run ``concordance``, the one report that prints the big-cell fields
-and twist corrections, so its digest is pinned here, and so are one digest
+and twist corrections, so its digest is pinned here, and so are the digest
+of ``verify all`` (every suite, ``cases`` at its default grid), one digest
 over the ``certify`` reports and exit codes of every small weight and one
 over their transcripts.
 """
@@ -28,6 +29,11 @@ EXPECTED = json.loads(
 
 CONCORDANCE_SHA256 = \
     "3dca4100ca7ae0688615e280403e70641d9962f5564cc68947a244cc4a9aa54b"
+
+# `verify all --json`; the check-level pool leaves the bytes as the serial
+# run writes them
+VERIFY_ALL_SHA256 = \
+    "588af6dc48d0389efa728b09a915e800c86f3f5ec95df65f201d1253f37bb0af"
 
 # sha256 over one line "l1,l2 exit_code sha256(report)" per weight of
 # [0,4]^2 and (-1, 0), joined by newlines
@@ -65,6 +71,14 @@ def test_report_digest(tmp_path, argv, digest):
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv + ["--json", str(path)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_verify_all_digest(tmp_path):
+    path = tmp_path / "all.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "all", "--jobs", "2", "--json", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_small_certificates_digest(tmp_path):
