@@ -448,6 +448,11 @@ def _integer(e: Poly) -> int | None:
     return int(c) if c is not None and c.denominator == 1 else None
 
 
+def _check_section_charts(a: "PowerSection", b: "PowerSection") -> None:
+    if a.chart is not b.chart:
+        raise ChartMismatch(f"sections on {a.chart!r} and {b.chart!r}")
+
+
 class PowerSection:
     """num * product of polynomial bases raised to parameter exponents.
 
@@ -539,8 +544,21 @@ class PowerSection:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    @staticmethod
+    def _checked(chart: Chart, num: Poly, factors) -> "PowerSection":
+        """A section from factors that some section already checked: sorted
+        by base key, no exponent zero and no base constant."""
+        out = PowerSection.__new__(PowerSection)
+        out.chart = chart
+        out.num = num
+        out.factors = tuple(factors) if not num.is_zero() else ()
+        return out
+
     def _aligned(self, other: "PowerSection", context: str = ""):
-        """Common power product: returns (factors, num_self, num_other)."""
+        """Common power product: returns (factors, num_self, num_other).
+        Every caller checks first that both sections share a chart."""
+        if self.factors == other.factors:
+            return self.factors, self.num, other.num
         sdict = {_base_key(b): (b, e) for b, e in self.factors}
         odict = {_base_key(b): (b, e) for b, e in other.factors}
         factors = []
@@ -568,25 +586,26 @@ class PowerSection:
         return factors, n1, n2
 
     def __add__(self, other: "PowerSection") -> "PowerSection":
+        _check_section_charts(self, other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
         factors, n1, n2 = self._aligned(other, "sum of sections")
-        return PowerSection(self.chart, n1 + n2, factors)
+        return PowerSection._checked(self.chart, n1 + n2, factors)
 
     def scale(self, f) -> "PowerSection":
         if isinstance(f, RatFunc):
-            return PowerSection(self.chart, RatFunc(self.num * f.num, f.den,
-                                                    normalise=False),
-                                self.factors)
-        if isinstance(f, Poly):
-            return PowerSection(self.chart, self.num * f, self.factors)
-        return PowerSection(self.chart, self.num.scale(f), self.factors)
+            if not f.is_poly():
+                return PowerSection(self.chart, RatFunc(self.num * f.num, f.den,
+                                                        normalise=False),
+                                    self.factors)
+            f = f.num
+        num = self.num * f if isinstance(f, Poly) else self.num.scale(f)
+        return PowerSection._checked(self.chart, num, self.factors)
 
     def __mul__(self, other: "PowerSection") -> "PowerSection":
-        if self.chart is not other.chart:
-            raise ChartMismatch("sections on different charts")
+        _check_section_charts(self, other)
         return PowerSection(self.chart, self.num * other.num,
                             self.factors + other.factors)
 
@@ -608,6 +627,8 @@ class PowerSection:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSection):
             return NotImplemented
+        if self.chart is not other.chart:
+            return False
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
         try:
@@ -618,6 +639,7 @@ class PowerSection:
 
     def ratio_to(self, other: "PowerSection") -> RatFunc:
         """self / other as a rational function (power products must align)."""
+        _check_section_charts(self, other)
         if other.is_zero():
             raise ZeroDenominator("ratio to the zero section")
         if self.is_zero():
@@ -629,24 +651,33 @@ class PowerSection:
 
     def derivative(self, name: str) -> "PowerSection":
         """First-order derivative via the symbolic power rule."""
-        live = [(i, b, e, b.differentiate(name))
-                for i, (b, e) in enumerate(self.factors)]
-        live = [(i, b, e, db) for i, b, e, db in live if not db.is_zero()]
-        dnum = self.num.differentiate(name)
-        if not live:
+        touched = [(i, db) for i, (b, _) in enumerate(self.factors)
+                   if not (db := b.differentiate(name)).is_zero()]
+        return self._power_rule(self.num.differentiate(name), touched)
+
+    def _power_rule(self, dnum: Poly, touched) -> "PowerSection":
+        """V(self) for a derivation V with polynomial coefficients, given
+        dnum = V(num) and one (i, V(b_i)) per base that a coordinate of V
+        reaches (V(b_i) may vanish).  Each reached base loses one from its
+        exponent and d(b^e) = e b^(e-1) V(b) puts the rest into one numerator:
+        V(num) * prod b + num * sum e_i V(b_i) prod_(j != i) b_j."""
+        if not touched:
             return PowerSection(self.chart, dnum, self.factors)
-        shifted = {i for i, *_ in live}
-        total = dnum
-        for i, b, e, db in live:
-            total = total * b
-        # total = num' * prod(live bases); add num * e_i * db_i * prod(other live)
-        for i, b, e, db in live:
-            term = self.num * e * db
-            for j, bj, ej, dbj in live:
+        inner = self.chart.table.zero()
+        for i, db in touched:
+            if db.is_zero():
+                continue
+            term = self.factors[i][1] * db
+            for j, _ in touched:
                 if j != i:
-                    term = term * bj
-            total = total + term
-        factors = [(b, e - 1 if i in shifted else e)
+                    term = term * self.factors[j][0]
+            inner = inner + term
+        total = dnum
+        for i, _ in touched:
+            total = total * self.factors[i][0]
+        total = total + self.num * inner
+        lowered = {i for i, _ in touched}
+        factors = [(b, e - 1 if i in lowered else e)
                    for i, (b, e) in enumerate(self.factors)]
         return PowerSection(self.chart, total, factors)
 
@@ -702,14 +733,50 @@ class PowerSection:
 
 
 def op_apply_section(A: DiffOp, s: PowerSection) -> PowerSection:
-    """Apply an operator to a power section; stays in power-section form."""
+    """Apply an operator to a power section; stays in power-section form.
+
+    A first-order operator with polynomial coefficients (a vector field such
+    as every generator action) takes one power-rule pass; any other operator
+    sums its memoised multi-index derivatives of the section."""
     if A.chart.coords != s.chart.coords:
         raise ChartMismatch("operator and section on different charts")
+    field = _polynomial_field(A)
+    if field is not None:
+        return _apply_field(field, s).reduce_num()
     deriv = _derivatives(s, A.chart.coords, PowerSection.derivative)
     total = PowerSection(s.chart, s.chart.table.zero(), s.factors)
     for K, c in A.terms.items():
         total = total + deriv(K).scale(c)
     return total.reduce_num()
+
+
+def _polynomial_field(A: DiffOp) -> list[tuple[str, Poly]] | None:
+    """The (coordinate, coefficient) pairs of a first-order operator whose
+    coefficients are all polynomials, else None."""
+    field = []
+    for K, c in A.terms.items():
+        if sum(K) != 1 or not c.is_poly():
+            return None
+        field.append((A.chart.coords[K.index(1)], c.num))
+    return field
+
+
+def _apply_field(field: list[tuple[str, Poly]], s: PowerSection) -> PowerSection:
+    """V(s) for V = sum c * d/dname, before ``reduce_num``."""
+    zero = s.chart.table.zero()
+    dnum = zero
+    for name, c in field:
+        if not (d := s.num.differentiate(name)).is_zero():
+            dnum = dnum + c * d
+    touched = []
+    for i, (b, _) in enumerate(s.factors):
+        db, reached = zero, False
+        for name, c in field:
+            if not (d := b.differentiate(name)).is_zero():
+                db, reached = db + c * d, True
+        if reached:
+            touched.append((i, db))
+    return s._power_rule(dnum, touched)
 
 
 def conjugate(A: DiffOp, s: PowerSection) -> DiffOp:

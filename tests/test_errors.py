@@ -2,11 +2,12 @@
 
 import pytest
 
+from pgl3dops import pgl3 as P
 from pgl3dops.ring import (ParameterDerivative, ParseError, RatFunc,
                            VarTable, ZeroDenominator, parse_ratfunc)
-from pgl3dops.weyl import (Chart, ChartMap, DiffOp, ExpressFailure,
-                           PowerSection, SingularJacobian, express_as_multiple,
-                           parse_operator, transport)
+from pgl3dops.weyl import (Chart, ChartMap, ChartMismatch, DiffOp,
+                           ExpressFailure, PowerSection, SingularJacobian,
+                           express_as_multiple, parse_operator, transport)
 
 T = VarTable(coords=("x", "y"), params=("k",))
 CH = Chart("plane", T)
@@ -93,7 +94,7 @@ def test_chart_invariants():
 
 
 def test_chart_mismatch_on_compose():
-    from pgl3dops.weyl import ChartMismatch, op_compose
+    from pgl3dops.weyl import op_compose
     other = Chart("other", VarTable(coords=("u", "v"), params=("k",)))
     with pytest.raises(ChartMismatch):
         op_compose(DiffOp.partial(CH, "x"), DiffOp.partial(other, "u"))
@@ -152,3 +153,20 @@ def test_substitution_must_keep_bases_polynomial():
         s.substitute_coords({"x": inv + X})
     with pytest.raises(ZeroDenominator):
         s.substitute_coords({"x": RatFunc.const(T, 0)})
+
+
+def test_section_sums_and_comparisons_check_the_chart():
+    # BMINUSB shares the matrix table; the big cell has its own
+    s = P.monomial_section(1, 2, (3, 2))
+    on_bminusb = PowerSection(P.BMINUSB, s.num, s.factors)
+    big = P.monomial_section_big(1, 2)
+    zero = s.scale(0)
+    for a, b in ((zero, big), (big, zero), (s, on_bminusb), (on_bminusb, s),
+                 (zero, on_bminusb), (s, big)):
+        with pytest.raises(ChartMismatch):
+            a + b
+        with pytest.raises(ChartMismatch):
+            a.ratio_to(b)
+        assert a != b and not a == b
+    assert zero != big.scale(0)
+    assert s == PowerSection(P.MATRIX, s.num, s.factors)

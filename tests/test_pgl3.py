@@ -294,6 +294,42 @@ def test_casimir_chain_stays_integral(monkeypatch):
     assert P.casimir_apply(zero) is zero
 
 
+
+def test_generator_actions_and_scaling_skip_the_public_checks(monkeypatch):
+    # one action builds its result and reduce_num's section; scale and sums
+    # reuse factors that a section already checked
+    t, built = P.MATRIX_TABLE, []
+    init = PowerSection.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    sig = P.twist_section(P.monomial_section(1, 2, (3, 2)), P.W_S1)
+    mixed = sig.scale(P.gvar(1, 2) * P.gvar(2, 1) + P.gvar(3, 1).scale(3))
+    symbolic = P.monomial_section()
+    poly = P.gvar(1, 3) + t.var("m1")
+    monkeypatch.setattr(PowerSection, "__init__", counted_init)
+    for s in (sig, mixed, symbolic):
+        for label in P.GENERATOR_LABELS:
+            for factor in ("left", "right"):
+                built.clear()
+                P.apply_generator(P.Generator(label, factor), s)
+                assert len(built) <= 2
+        built.clear()
+        scaled = [(s.scale(k), s.num.scale(k)) for k in (Fraction(-7, 3), 0)]
+        scaled += [(s.scale(c), s.num * poly)
+                   for c in (poly, RatFunc.from_poly(poly))]
+        assert built == []
+        for got, num in scaled:
+            want = PowerSection(s.chart, num, s.factors)
+            assert (got.chart, got.num, got.factors) == \
+                (want.chart, want.num, want.factors)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="not a polynomial in the parameters"):
+        PowerSection(P.MATRIX, t.one(), [(P.gvar(1, 1), t.var("g12"))])
+
+
 def _row_homogeneous(rng, rows):
     """A random polynomial whose monomials take one g entry from each row in
     ``rows``, so every monomial has the same left torus weight."""
