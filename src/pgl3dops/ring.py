@@ -62,6 +62,51 @@ def _frac(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _over(v: int, d: int) -> Number:
+    """The stored form of v / d, for an int v and a positive int d."""
+    g = gcd(v, d)
+    if g == d:
+        return v // d
+    return Fraction(v // g, d // g)
+
+
+def _cleared(terms: dict):
+    """(d, items): d is the lcm of the coefficient denominators and items
+    are the (key, d * c) pairs, all ints, in the order of ``terms``."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            q = c.denominator
+            d = d * q // gcd(d, q)
+    if d == 1:
+        return 1, terms.items()
+    return d, [(k, c * d if type(c) is int
+                else c.numerator * (d // c.denominator))
+               for k, c in terms.items()]
+
+
+def _floor(keys: Iterable[int], guard: int) -> int:
+    """Packed componentwise minimum of packed keys (0 for no keys).
+
+    ``(key | guard) - floor`` keeps the guard bit of a field exactly when
+    that field of ``key`` is not below the one of ``floor``; no field
+    borrows from its neighbour, since every field is below the guard bit.
+    The fields that lost their guard bit are where ``key`` is smaller."""
+    top = VarTable.BITS - 1
+    floor = None
+    for key in keys:
+        if floor is None:
+            floor = key
+        else:
+            borrow = ~((key | guard) - floor) & guard
+            if borrow:
+                mask = (borrow << 1) - (borrow >> top)
+                floor = (floor & ~mask) | (key & mask)
+        if not floor:
+            return 0
+    return floor or 0
+
+
 class VarTable:
     """Ordered variable names, split into coordinates and parameters.
 
@@ -210,7 +255,7 @@ class Poly:
             if s == 0:
                 terms.pop(key, None)
             else:
-                terms[key] = _num(s)
+                terms[key] = s if type(s) is int else _num(s)
         return Poly._raw(self.table, terms)
 
     __radd__ = __add__
@@ -222,16 +267,21 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Product; each operand is cleared of denominators once, the terms
+        are multiplied as ints and each output coefficient is divided once
+        by the product of the two denominators."""
         _check_table(self, other)
         if not self.terms or not other.terms:
             return Poly._raw(self.table, {})
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        da, a = _cleared(a)
+        db, b = _cleared(b)
         out: dict = {}
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
+        for ea, ca in a:
+            for eb, cb in b:
                 key = ea + eb
                 s = get(key, 0) + ca * cb
                 if s == 0:
@@ -241,19 +291,27 @@ class Poly:
         # every field of a factor is below 2^15, so a field of a product key
         # reaches at most its guard bit and never carries past it
         guard = self.table.guard
-        terms = {}
-        for k, v in out.items():
+        for k in out:
             if k & guard:
                 raise OverflowError("a product exponent is not below 2^15")
-            terms[k] = _num(v)
-        return Poly._raw(self.table, terms)
+        d = da * db
+        if d != 1:
+            out = {k: _over(v, d) for k, v in out.items()}
+        return Poly._raw(self.table, out)
 
     def scale(self, k) -> "Poly":
-        k = _num(_frac(k))
+        if type(k) is not int:
+            k = _num(_frac(k))
         if k == 0:
             return Poly._raw(self.table, {})
-        return Poly._raw(self.table,
-                         {key: _num(c * k) for key, c in self.terms.items()})
+        if type(k) is int:
+            return Poly._raw(self.table, {
+                key: c * k if type(c) is int else _num(c * k)
+                for key, c in self.terms.items()})
+        n, d = k.numerator, k.denominator
+        return Poly._raw(self.table, {
+            key: _over(c * n, d) if type(c) is int else _num(c * k)
+            for key, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -291,7 +349,7 @@ class Poly:
         for key, c in self.terms.items():
             k = (key >> shift) & mask
             if k:
-                out[key - step] = _num(c * k)
+                out[key - step] = c * k if type(c) is int else _num(c * k)
         return Poly._raw(self.table, out)
 
     # -- evaluation and substitution -------------------------------------------
@@ -370,9 +428,12 @@ class Poly:
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            f = _frac(c)
-            num_gcd = gcd(num_gcd, abs(f.numerator))
-            den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
+            if type(c) is int:
+                num_gcd = gcd(num_gcd, c)
+            else:
+                num_gcd = gcd(num_gcd, c.numerator)
+                q = c.denominator
+                den_lcm = den_lcm * q // gcd(den_lcm, q)
         return Fraction(num_gcd, den_lcm)
 
     def primitive(self) -> tuple["Poly", Fraction]:
@@ -390,16 +451,7 @@ class Poly:
 
     def monomial_floor(self) -> int:
         """Packed componentwise minimum exponent over all terms."""
-        table = self.table
-        floor = None
-        for key in self.terms:
-            if floor is None:
-                floor = list(table.decode(key))
-            else:
-                for i, e in enumerate(table.decode(key)):
-                    if e < floor[i]:
-                        floor[i] = e
-        return table.encode(floor) if floor else 0
+        return _floor(self.terms, self.table.guard)
 
     def shift_down(self, floor: int) -> "Poly":
         """Divide by the monomial with packed exponent ``floor``."""
@@ -411,7 +463,10 @@ class Poly:
     def divide_exact(self, divisor: "Poly") -> "Poly | None":
         """Exact quotient self/divisor, or None if it does not divide.
 
-        Long division in descending lex order, run to completion.
+        The lex-trailing term of an exact product is the product of the
+        trailing terms, so a divisor whose trailing key exceeds the one of
+        ``self`` in some field is rejected at once.  Otherwise long division
+        in descending lex order, run to completion.
         """
         _check_table(self, divisor)
         if divisor.is_zero():
@@ -421,23 +476,31 @@ class Poly:
         if divisor.is_constant():
             return self.scale(Fraction(1, 1) / divisor.constant_value())
         guard = self.table.guard
+        if ((min(self.terms) | guard) - min(divisor.terms)) & guard != guard:
+            return None
         lkey, lc = divisor.leading()
+        dterms = divisor.terms.items()
         rem = dict(self.terms)
+        get = rem.get
         out: dict = {}
         while rem:
             key = max(rem)
             if ((key | guard) - lkey) & guard != guard:
                 return None          # some exponent of the divisor is larger
             qkey = key - lkey
-            qc = _num(_frac(rem[key]) / lc)
+            c = rem[key]
+            if type(c) is int and type(lc) is int and c % lc == 0:
+                qc = c // lc
+            else:
+                qc = _num(_frac(c) / lc)
             out[qkey] = qc
-            for dkey, dc in divisor.terms.items():
+            for dkey, dc in dterms:
                 k = qkey + dkey
-                s = rem.get(k, 0) - qc * dc
+                s = get(k, 0) - qc * dc
                 if s == 0:
                     rem.pop(k, None)
                 else:
-                    rem[k] = _num(s)
+                    rem[k] = s if type(s) is int else _num(s)
         return Poly._raw(self.table, out)
 
     # -- printing ----------------------------------------------------------------
@@ -613,10 +676,10 @@ def _normalise(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     denominator itself if it divides the numerator exactly."""
     if num.is_zero():
         return num, den.table.one()
-    table = num.table
-    nf = table.decode(num.monomial_floor())
-    df = table.decode(den.monomial_floor())
-    common = table.encode(tuple(min(a, b) for a, b in zip(nf, df)))
+    common = 0
+    if 0 not in num.terms and 0 not in den.terms:
+        common = _floor((num.monomial_floor(), den.monomial_floor()),
+                        num.table.guard)
     if common:
         num = num.shift_down(common)
         den = den.shift_down(common)

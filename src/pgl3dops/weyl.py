@@ -18,6 +18,7 @@ are transported by inverting the Jacobian of the forward formulas, exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Iterable, Mapping
 
@@ -182,15 +183,22 @@ class DiffOp:
 # -- multi-index helpers --------------------------------------------------------
 
 
-def _sub_indices(K: MultiIndex):
-    """All multi-indices J with 0 <= J <= K componentwise."""
-    if not K:
-        yield ()
-        return
-    head, rest = K[0], K[1:]
-    for tail in _sub_indices(rest):
-        for j in range(head + 1):
-            yield (j,) + tail
+def _sub_indices(K: MultiIndex, low: MultiIndex):
+    """All multi-indices J with low <= J <= K componentwise, the first
+    component varying fastest."""
+    ranges = [range(lo, k + 1) for lo, k in zip(reversed(low), reversed(K))]
+    for J in product(*ranges):
+        yield J[::-1]
+
+
+def _degrees(p: Poly, n: int) -> MultiIndex:
+    """The largest exponent of each of the first n variables of p."""
+    top = [0] * n
+    for key in p.terms:
+        for i, e in enumerate(p.table.decode(key)[:n]):
+            if e > top[i]:
+                top[i] = e
+    return tuple(top)
 
 
 def _binom(K: MultiIndex, J: MultiIndex) -> int:
@@ -234,10 +242,16 @@ def _accumulate(out: dict, key: MultiIndex, value: RatFunc) -> None:
         out[key] = s
 
 
-def _leibniz(A: DiffOp, deriv, L: MultiIndex, out: dict) -> None:
-    """Accumulate A∘(g d^L) into ``out``, given deriv(M) = d^M g."""
+def _leibniz(A: DiffOp, deriv, L: MultiIndex, out: dict,
+             top: MultiIndex | None = None) -> None:
+    """Accumulate A∘(g d^L) into ``out``, given deriv(M) = d^M g.
+
+    When g is a polynomial of degree ``top[i]`` in coordinate i, only the J
+    with K - J <= top are visited: every other d^(K-J) g is zero."""
     for K, a in A.terms.items():
-        for J in _sub_indices(K):
+        low = (0,) * len(K) if top is None else tuple(
+            max(k - t, 0) for k, t in zip(K, top))
+        for J in _sub_indices(K, low):
             db = deriv(tuple(k - j for k, j in zip(K, J)))
             if db.is_zero():
                 continue
@@ -265,8 +279,11 @@ def op_compose(A: DiffOp, B: DiffOp) -> DiffOp:
     _check_chart(A, B)
     chart = A.chart
     out: dict[MultiIndex, RatFunc] = {}
+    n = len(chart.coords)
     for L, b in B.terms.items():
-        _leibniz(A, _derivatives(b, chart.coords, RatFunc.differentiate), L, out)
+        top = _degrees(b.num, n) if b.is_poly() else None
+        _leibniz(A, _derivatives(b, chart.coords, RatFunc.differentiate), L,
+                 out, top)
     return DiffOp(chart, out)
 
 

@@ -2,6 +2,10 @@
 
 import concurrent.futures
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +133,24 @@ def test_op_composes_high_derivative_orders(capsys):
     # the memoised derivative walks down to order 0 without recursing
     code, out = run(["op", "compose", "d/dg11^1000", "d/dg11^1000"], capsys)
     assert code == 0 and out.strip() == "d/dg11^2000"
+
+
+def test_op_compose_visits_only_the_derivatives_a_polynomial_has():
+    # 3001^2 sub-indices J <= K, of which only the four with K - J <= (1, 1)
+    # give a nonzero derivative of g11*g12; a bounded run proves the others
+    # are never visited
+    code = ("import sys; from pgl3dops import cli; sys.exit(cli.main(["
+            "'op', 'compose', 'd/dg11^3000 * d/dg12^3000', 'g11*g12']))")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=10, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "(g11*g12) * d/dg11^3000 d/dg12^3000"
+        " + (3000*g11) * d/dg11^3000 d/dg12^2999"
+        " + (3000*g12) * d/dg11^2999 d/dg12^3000"
+        " + (9000000) * d/dg11^2999 d/dg12^2999")
 
 
 def test_op_wrong_arity(capsys):

@@ -2,13 +2,19 @@
 central character at constant weights, and of the Casimir on sections whose
 numerators mix left weights."""
 
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pgl3dops import pgl3 as P
 from pgl3dops.ring import (Poly, RatFunc, VarTable, evaluate_text,
                            parse_ratfunc)
-from pgl3dops.weyl import DiffOp, PowerSection, op_apply_section
+from pgl3dops.weyl import (Chart, DiffOp, PowerSection, op_apply_section,
+                          op_compose)
 from test_pgl3 import _composed_casimir, _row_homogeneous
 
 TABLE = VarTable(coords=("x", "y"), params=("m",))
@@ -246,7 +252,9 @@ def test_one_pass_field_action_equals_the_summed_derivatives(A, s):
     assert got == want
     if regular:
         assert (got.num, got.factors) == (want.num, want.factors)
-    name = A.chart.coords[next(iter(A.terms)).index(1)]
+    # two monomials of a drawn coefficient can cancel and leave A zero
+    first = next(iter(A.terms), None)
+    name = A.chart.coords[first.index(1) if first else 0]
     d, dd = s.derivative(name), _derivative_by_coordinate(s, name)
     assert (d.num, d.factors) == (dd.num, dd.factors)
 
@@ -266,3 +274,201 @@ def test_one_pass_form_does_not_depend_on_the_order_of_the_terms():
     assert got.factors == backward.factors == ()
     assert forward.factors == ((P.minor(3, 3), M.one()),)
     assert (got.num, op_apply_section(reverse, s).num) == (backward.num,) * 2
+
+
+# -- the ring kernels against references that decode every key ---------------
+
+EDGE = 2 ** 15 - 1          # the largest exponent a field holds
+edge_exponents = st.one_of(st.integers(0, 3),
+                           st.sampled_from((0, EDGE - 1, EDGE)))
+# shared denominators (2 and 4, 3 and 9) and coprime ones (2 and 3, 4 and 9)
+kernel_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((2, 3, 4, 6, 9))),
+).filter(lambda c: c != 0)
+
+
+def _kernel_polys(exps, min_size=0):
+    return st.dictionaries(st.tuples(exps, exps, exps), kernel_coeffs,
+                           min_size=min_size, max_size=4).map(
+        lambda terms: Poly(TABLE, terms))
+
+
+small_kernel_polys = _kernel_polys(st.integers(0, 3))
+edge_kernel_polys = _kernel_polys(edge_exponents)
+small_kernel_divisors = _kernel_polys(st.integers(0, 2), min_size=1)
+
+
+def _stored(value: Fraction):
+    return value.numerator if value.denominator == 1 else value
+
+
+def _assert_stored(p: Poly, want: dict):
+    # the same terms, each integral coefficient an int and any other a Fraction
+    got = p.terms_as_tuples()
+    assert got == want
+    assert {k: type(v) for k, v in got.items()} == {
+        k: type(_stored(Fraction(v))) for k, v in want.items()}
+
+
+def _convolution(p: Poly, q: Poly) -> dict:
+    out: dict = {}
+    for ea, ca in p.terms_as_tuples().items():
+        for eb, cb in q.terms_as_tuples().items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, 0) + Fraction(ca) * Fraction(cb)
+    return {k: _stored(v) for k, v in out.items() if v != 0}
+
+
+def _decoded_floor(p: Poly) -> int:
+    exps = [p.table.decode(k) for k in p.terms]
+    if not exps:
+        return 0
+    return p.table.encode(tuple(min(col) for col in zip(*exps)))
+
+
+def _long_division(p: Poly, d: Poly):
+    """Exact quotient by long division in descending lex order on decoded
+    exponents, without the trailing-term test; None if d does not divide."""
+    rem = {k: Fraction(c) for k, c in p.terms_as_tuples().items()}
+    dterms = {k: Fraction(c) for k, c in d.terms_as_tuples().items()}
+    lead = max(dterms)
+    out = {}
+    while rem:
+        key = max(rem)
+        q = tuple(a - b for a, b in zip(key, lead))
+        if min(q) < 0:
+            return None
+        qc = rem[key] / dterms[lead]
+        out[q] = _stored(qc)
+        for dk, dc in dterms.items():
+            k = tuple(a + b for a, b in zip(q, dk))
+            rem[k] = rem.get(k, 0) - qc * dc
+            if rem[k] == 0:
+                del rem[k]
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(small_kernel_polys, edge_kernel_polys),
+       st.one_of(small_kernel_polys, edge_kernel_polys))
+def test_product_is_the_fraction_convolution(p, q):
+    want = _convolution(p, q)
+    if any(e > EDGE for exp in want for e in exp):
+        with pytest.raises(OverflowError):
+            p * q
+        return
+    _assert_stored(p * q, want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_kernel_polys)
+def test_monomial_floor_is_the_decoded_minimum(p):
+    assert p.monomial_floor() == _decoded_floor(p)
+    # one term at the edge next to a zero field, and its mirror image
+    for a, b in ((EDGE, 0), (0, EDGE), (EDGE - 1, EDGE)):
+        r = p + Poly(TABLE, {(a, b, a): 1, (b, a, b): -1})
+        assert r.monomial_floor() == _decoded_floor(r)
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_kernel_polys, small_kernel_divisors, small_kernel_polys,
+       st.sampled_from((1, -1, 2, -3, Fraction(-2, 3))))
+def test_divide_exact_is_long_division(q, d, r, lead):
+    # a leading coefficient that divides the quotient's or does not, of
+    # either sign, on exact products and on products plus a remainder
+    d = d + Poly(TABLE, {(3, 0, 0): lead})
+    for p in (q * d, q * d + r):
+        want = _long_division(p, d)
+        got = p.divide_exact(d)
+        if want is None:
+            assert got is None
+        else:
+            _assert_stored(got, want)
+
+
+def _reference_normal_form(num: Poly, den: Poly):
+    """RatFunc's normal form with the floor built from decoded exponents and
+    the exact quotient taken by long division without the trailing test."""
+    if num.is_zero():
+        return num, den.table.one()
+    exps = [TABLE.decode(k) for k in list(num.terms) + list(den.terms)]
+    common = TABLE.encode(tuple(min(col) for col in zip(*exps)))
+    num, den = num.shift_down(common), den.shift_down(common)
+    if den.is_constant():
+        return num.scale(1 / den.constant_value()), TABLE.one()
+    den, c = den.primitive()
+    num = num.scale(1 / c)
+    q = _long_division(num, den)
+    if q is None:
+        return num, den
+    return Poly(TABLE, q), TABLE.one()
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_kernel_polys, small_kernel_divisors, small_kernel_divisors,
+       st.sampled_from((0, 1, 2)))
+def test_fraction_normal_form_matches_the_reference(n, d, h, k):
+    # a shared factor h (sometimes a monomial) so that both the floor and
+    # the exact quotient have work to do
+    h = h if k == 0 else TABLE.var("x") ** k * TABLE.var("m")
+    num, den = n * h, d * h
+    got = RatFunc(num, den)
+    want_num, want_den = _reference_normal_form(num, den)
+    _assert_stored(got.num, want_num.terms_as_tuples())
+    _assert_stored(got.den, want_den.terms_as_tuples())
+
+
+# -- op_compose against the unbounded Leibniz enumeration --------------------
+
+COMPOSE_CHART = Chart("compose", TABLE)
+compose_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+    st.integers(-4, 4).filter(lambda c: c != 0), max_size=3).map(
+    lambda terms: Poly(TABLE, terms))
+compose_coeffs = st.one_of(
+    compose_polys.map(RatFunc.from_poly),
+    st.builds(lambda n, c: RatFunc(n, TABLE.var("x") + c),
+              compose_polys, st.integers(1, 3)))
+compose_ops = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), compose_coeffs,
+    max_size=3).map(lambda terms: DiffOp(COMPOSE_CHART, terms))
+
+
+def _compose_unbounded(A, B):
+    """A∘B visiting every J <= K, the first component fastest."""
+    out = {}
+    for L, b in B.terms.items():
+        derivatives = {}
+        for K, a in A.terms.items():
+            for rev in itertools.product(*(range(k + 1) for k in K[::-1])):
+                J = rev[::-1]
+                M = tuple(k - j for k, j in zip(K, J))
+                if M not in derivatives:
+                    db = b
+                    for name, m in zip(TABLE.coords, M):
+                        for _ in range(m):
+                            db = db.differentiate(name)
+                    derivatives[M] = db
+                db = derivatives[M]
+                if db.is_zero():
+                    continue
+                c = 1
+                for k, j in zip(K, J):
+                    c *= math.comb(k, j)
+                key = tuple(j + l for j, l in zip(J, L))
+                term = a * db.scale(c)
+                s = out[key] + term if key in out else term
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+    return DiffOp(COMPOSE_CHART, out)
+
+
+@settings(deadline=None, max_examples=60)
+@given(compose_ops, compose_ops)
+def test_compose_equals_the_unbounded_enumeration(A, B):
+    got, want = op_compose(A, B), _compose_unbounded(A, B)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
